@@ -43,7 +43,7 @@ from .classify import (
     to_munu,
     to_sigmatau,
 )
-from .exact import Rat, format_rat, parse_rat, rat, rat_ceil, rat_floor
+from .exact import Rat, as_rat, format_rat, parse_rat, rat, rat_ceil, rat_floor
 from .floorfn import (
     DilationPair,
     OracleReport,
@@ -90,6 +90,7 @@ __all__ = [
     "SigmaTau",
     "Verdict",
     "Witness",
+    "as_rat",
     "audit_transitivity",
     "beatty_contains",
     "beatty_pos_contains",

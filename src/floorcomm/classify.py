@@ -12,9 +12,23 @@ placing the pair on one of the member families:
                                                      m >= 0, n >= 1, r >= 2,
                                                      0 < m/p + n/q < 1
 
-Each search range is provably sufficient, so an exhausted search is a proof
-of non-membership; verdicts are cross-checked against the period oracle
-(directly here for non-members, by the test suite for members).
+Each family condition is a linear congruence in the numerators and
+denominators, so the searches run in integer arithmetic and return the
+witness a scan in increasing m (then n) would meet first:
+
+    positive line   least m of m*(a*t) = b*t (mod s*b), one modular inverse
+    hyperbola       least m of m*(q*t) = s*p (mod p*t), one modular inverse
+    vertical        the test c*p <= d
+    sporadic        None at once for beta <= -2/p (every sporadic beta lies
+                    in (-2/p, -1/p)); inside that band O(p/G) steps, one
+                    congruence in n for every G-th m
+
+where alpha = a/b or -q/p, beta = c/d or -c/d and alpha/beta = s/t in
+lowest terms.  The positive and hyperbola certificates and the band exit take
+time polynomial in the bit length of the inputs; the in-band sporadic scan is
+still linear in p.  An exhausted search is a proof of non-membership;
+verdicts are cross-checked against the period oracle (directly here for
+non-members, by the test suite for members).
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ from fractions import Fraction
 from math import gcd
 from typing import ClassVar, Union
 
-from .exact import Rat, rat_floor
+from .exact import Rat
 from .floorfn import DilationPair, oracle_verify
 
 
@@ -139,54 +153,101 @@ class SigmaTau:
             raise ValueError("sigma, tau must be positive")
 
 
-def positive_witness(alpha: Rat, beta: Rat) -> PositiveLinear | None:
-    """Search m*alpha*beta + n*alpha = beta over m, n >= 0, not both zero.
+def _least_solution(coeff: int, rhs: int, modulus: int) -> int | None:
+    """Least m >= 0 with m*coeff = rhs (mod modulus), or None if there is none.
 
-    In the equivalent form m*alpha + n*(alpha/beta) = 1 both terms are
-    nonnegative, so m <= 1/alpha and, for each m, n is determined exactly.
-    Smallest m wins (n is unique given m).
+    With g = gcd(coeff, modulus) the congruence is solvable iff g | rhs, and
+    then m = (rhs/g) * (coeff/g)^-1 mod (modulus/g): O(log modulus) steps.
+    """
+    g = gcd(coeff, modulus)
+    if rhs % g:
+        return None
+    modulus //= g
+    return rhs // g * pow(coeff // g, -1, modulus) % modulus
+
+
+def positive_witness(alpha: Rat, beta: Rat) -> PositiveLinear | None:
+    """Least-m solution of m*alpha*beta + n*alpha = beta with m, n >= 0.
+
+    With alpha = a/b and alpha/beta = s/t in lowest terms the equation reads
+    m*a*t + n*s*b = b*t, so n = (b*t - m*a*t)/(s*b) is an integer exactly when
+    m*(a*t) = b*t (mod s*b).  The least such m >= 0 comes from one modular
+    inverse; n decreases in m, so if it is negative there, no m works.  n is
+    unique given m and (0, 0) never solves, so this is the smallest-m witness
+    of a scan over m = 0, 1, ..., floor(1/alpha), found in O(log) steps.
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("dilation factors must be positive")
-    ratio = alpha / beta
-    for m in range(rat_floor(1 / alpha) + 1):
-        n = (1 - m * alpha) / ratio
-        if n.denominator == 1 and (m > 0 or n > 0):
-            return PositiveLinear(m, int(n))
-    return None
+    a, b = alpha.numerator, alpha.denominator
+    s, t = a * beta.denominator, b * beta.numerator
+    g = gcd(s, t)
+    s, t = s // g, t // g
+    m = _least_solution(a * t, b * t, s * b)
+    if m is None or m * a > b:  # n < 0
+        return None
+    return PositiveLinear(m, (b * t - m * a * t) // (s * b))
 
 
 def negative_witness(alpha: Rat, beta: Rat) -> NegHyperbola | NegVertical | NegSporadic | None:
     """Search the three negative-quadrant families in a fixed order.
 
-    Hyperbola: from m*alpha - n = -alpha/beta, n = m*alpha + alpha/beta must
-    be an integer >= 1; n decreases in m (alpha < 0), bounding the scan.
-    Vertical: alpha = -q/p is forced by lowest terms, leaving -1/p <= beta.
-    Sporadic: for each admissible (m, n) the defining equation pins r, which
-    must come out an integer >= 2.
+    Write alpha = -q/p and beta = -c/d in lowest terms.
+
+    Hyperbola: with alpha/beta = s/t, n = m*alpha + alpha/beta =
+    (s*p - m*q*t)/(p*t) is an integer exactly when m*(q*t) = s*p (mod p*t).
+    The least such m >= 0 is the smallest-m witness if n >= 1 there; n
+    decreases in m, so otherwise there is none.  O(log) steps.
+    Vertical: alpha = -q/p is forced by lowest terms, leaving -1/p <= beta,
+    that is c*p <= d.
+    Sporadic: see ``_sporadic_witness``.
     """
     if alpha >= 0 or beta >= 0:
         raise ValueError("dilation factors must be negative")
-    ratio = alpha / beta
-    m_max = rat_floor((ratio - 1) / (-alpha))
-    for m in range(m_max + 1):
-        n = m * alpha + ratio
-        if n.denominator == 1 and n >= 1:
-            return NegHyperbola(m, int(n))
-    p, q = alpha.denominator, -alpha.numerator
-    if beta >= Fraction(-1, p):
+    q, p = -alpha.numerator, alpha.denominator
+    c, d = -beta.numerator, beta.denominator
+    s, t = q * d, p * c
+    g = gcd(s, t)
+    s, t = s // g, t // g
+    m = _least_solution(q * t, s * p, p * t)
+    if m is not None and s * p - m * q * t >= p * t:  # n >= 1
+        return NegHyperbola(m, (s * p - m * q * t) // (p * t))
+    if c * p <= d:
         return NegVertical(p, q)
-    for m in range(p):
-        for n in range(1, q + 1):
-            share = Fraction(m, p) + Fraction(n, q)
-            if not 0 < share < 1:
-                continue
-            slope = Fraction(-1, p) / beta - 1  # equals (share - 1)/r
-            if slope == 0:
-                continue
-            r = (share - 1) / slope
-            if r.denominator == 1 and r >= 2:
-                return NegSporadic(p, q, m, n, int(r))
+    return _sporadic_witness(p, q, c, d)
+
+
+def _sporadic_witness(p: int, q: int, c: int, d: int) -> NegSporadic | None:
+    """Lexicographically least sporadic (m, n) for alpha = -q/p, beta = -c/d < -1/p.
+
+    Band lemma: for r >= 2 and 0 < share < 1 the factor 1 + (share - 1)/r lies
+    in (1/2, 1), so every sporadic beta lies strictly inside (-2/p, -1/p);
+    beta <= -2/p (c*p >= 2*d) is decided in O(1).
+
+    Inside the band put K = p*c - d > 0 and t = p*q - m*q - n*p, so that
+    share = m/p + n/q < 1 means t >= 1 and the defining equation gives
+    r = t*c/(q*K).  r is an integer exactly when L = q*K/gcd(q*K, c) divides
+    t, and r >= 2 exactly when t >= ceil(2*q*K/c).  The congruence
+    n*p = q*(p - m) (mod L) is solvable iff G = gcd(p, L) divides m (p and q
+    are coprime), and then its least n >= 1 comes from one precomputed
+    inverse; t decreases in n, so that n gives the largest t for its m, and
+    t >= 1 already bounds n <= q.  The scan over m = 0, G, 2G, ... keeps the
+    lexicographic (m, n) order in O(p/G) integer steps; a polynomial bound
+    here is a two-dimensional lattice-point problem left open.
+    """
+    if c * p >= 2 * d:
+        return None
+    qk = q * (p * c - d)
+    ell = qk // gcd(qk, c)  # L
+    t_min = -(-2 * qk // c)  # >= 1, since q*K >= 1
+    g = gcd(p, ell)
+    mod = ell // g
+    inv = pow(p // g, -1, mod)
+    for m in range(0, p, g):
+        top = q * (p - m)
+        n = top // g * inv % mod or mod
+        t = top - n * p
+        if t >= t_min:
+            return NegSporadic(p, q, m, n, t * c // qk)
     return None
 
 

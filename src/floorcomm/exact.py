@@ -24,6 +24,19 @@ def rat(num: int, den: int = 1) -> Rat:
     return Fraction(num, den)
 
 
+def as_rat(x: Rat | int) -> Rat:
+    """x as a Rat: a Fraction is returned as is, an int is converted.
+
+    float is refused because it is not exact, and bool because it is not a
+    number in this package's sense; both, and any other type, raise TypeError.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
+
+
 def rat_floor(x: Rat | int) -> int:
     """Greatest integer <= x."""
     return x.numerator // x.denominator

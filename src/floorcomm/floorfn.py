@@ -17,15 +17,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exact import Rat, rat_ceil, rat_floor
+from .exact import Rat, as_rat, rat_ceil, rat_floor
 
 
 @dataclass(frozen=True)
 class DilationPair:
-    """An ordered pair of dilation factors; any rationals are legal."""
+    """An ordered pair of dilation factors; any rationals are legal.
+
+    Each factor is an int or a Fraction and is stored as a Rat; float and
+    bool raise TypeError.
+    """
 
     alpha: Rat
     beta: Rat
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", as_rat(self.alpha))
+        object.__setattr__(self, "beta", as_rat(self.beta))
 
 
 @dataclass(frozen=True)

@@ -91,12 +91,13 @@ def torus_subgroup_avoids(rect: CornerRect) -> tuple[bool, int | None]:
     """Does the cyclic torus subgroup generated by (sigma, tau) avoid the box?
 
     The subgroup has exactly lcm(den(sigma), den(tau)) elements, enumerated
-    as N*(sigma, tau) mod Z^2.  On failure returns the least hitting N >= 1
-    (N = 0 is the identity, which the open box never contains).
+    as N*(sigma, tau) mod Z^2 for N = 1, ..., lcm (N = lcm is the identity).
+    On failure returns the least hitting N >= 1.  The projected box contains
+    the identity only when both sides exceed 1, and then N = 1 already hits.
     """
     ps, qs = rect.sigma.numerator, rect.sigma.denominator
     pt, qt = rect.tau.numerator, rect.tau.denominator
-    for n in range(lcm(qs, qt)):
+    for n in range(1, lcm(qs, qt) + 1):
         # frac(n*sigma) < sigma reduces to (n*ps mod qs) < ps when sigma <= 1
         hit_x = ps > qs or 0 < (n * ps) % qs < ps
         hit_y = pt > qt or 0 < (n * pt) % qt < pt

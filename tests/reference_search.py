@@ -1,0 +1,54 @@
+"""Reference witness searches: plain linear scans over Fraction steps.
+
+These are the searches floorcomm shipped before the closed forms in
+``floorcomm.classify``.  They walk every candidate in order, so the first hit
+defines the tie-breaks the closed forms must reproduce.  Their cost is linear
+(positive line, hyperbola) or quadratic (sporadic) in the denominators, so
+the differential tests only call them on small inputs.
+"""
+
+from fractions import Fraction
+
+from floorcomm.classify import NegHyperbola, NegSporadic, NegVertical, PositiveLinear
+from floorcomm.exact import rat_floor
+
+
+def reference_positive_witness(alpha: Fraction, beta: Fraction) -> PositiveLinear | None:
+    """Scan m = 0, 1, ..., floor(1/alpha) for an integer n = (1 - m*alpha)/(alpha/beta)."""
+    if alpha <= 0 or beta <= 0:
+        raise ValueError("dilation factors must be positive")
+    ratio = alpha / beta
+    for m in range(rat_floor(1 / alpha) + 1):
+        n = (1 - m * alpha) / ratio
+        if n.denominator == 1 and (m > 0 or n > 0):
+            return PositiveLinear(m, int(n))
+    return None
+
+
+def reference_negative_witness(
+    alpha: Fraction, beta: Fraction
+) -> NegHyperbola | NegVertical | NegSporadic | None:
+    """Scan the hyperbola over m, test the vertical segment, then scan every sporadic (m, n)."""
+    if alpha >= 0 or beta >= 0:
+        raise ValueError("dilation factors must be negative")
+    ratio = alpha / beta
+    m_max = rat_floor((ratio - 1) / (-alpha))
+    for m in range(m_max + 1):
+        n = m * alpha + ratio
+        if n.denominator == 1 and n >= 1:
+            return NegHyperbola(m, int(n))
+    p, q = alpha.denominator, -alpha.numerator
+    if beta >= Fraction(-1, p):
+        return NegVertical(p, q)
+    for m in range(p):
+        for n in range(1, q + 1):
+            share = Fraction(m, p) + Fraction(n, q)
+            if not 0 < share < 1:
+                continue
+            slope = Fraction(-1, p) / beta - 1  # equals (share - 1)/r
+            if slope == 0:
+                continue
+            r = (share - 1) / slope
+            if r.denominator == 1 and r >= 2:
+                return NegSporadic(p, q, m, n, int(r))
+    return None

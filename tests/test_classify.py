@@ -142,6 +142,22 @@ def test_discrete_commuting_family_members():
             assert is_member(DilationPair(Fraction(1, m), Fraction(1, n)))
 
 
+def test_int_pairs_classify_like_fractions():
+    grid = range(-4, 5)
+    for a in grid:
+        for b in grid:
+            pair = DilationPair(a, b)
+            assert isinstance(pair.alpha, Fraction) and isinstance(pair.beta, Fraction)
+            assert classify(pair) == classify(DilationPair(Fraction(a), Fraction(b)))
+    assert classify(DilationPair(1, 2)).witness == PositiveLinear(0, 2)
+
+
+def test_float_bool_and_str_pairs_rejected():
+    for alpha, beta in [(0.5, Fraction(1)), (Fraction(1), 2.0), (True, 2), (1, False), ("1/2", 1)]:
+        with pytest.raises(TypeError):
+            DilationPair(alpha, beta)
+
+
 def test_integer_pairs_follow_divisibility():
     for a in range(1, 13):
         for b in range(1, 13):

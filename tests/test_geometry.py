@@ -124,6 +124,13 @@ def test_torus_avoidance_examples():
     assert torus_point_in_corner(witness * Fraction(3, 7), witness * Fraction(5, 7), rect)
 
 
+def test_torus_witness_when_box_covers_torus():
+    # both sides above 1: the projected box is the whole torus, and the least
+    # hitting N >= 1 is 1, also when the subgroup is trivial (lcm = 1)
+    for sigma, tau in [(Fraction(2), Fraction(3)), (Fraction(3, 2), Fraction(5, 4))]:
+        assert torus_subgroup_avoids(CornerRect(sigma, tau)) == (False, 1)
+
+
 def test_torus_avoidance_finite_subgroup_misses_open_box():
     # (4/9, 1/3) generates an order-9 subgroup whose y-coordinates are
     # multiples of 1/3, never inside (0, 1/3); the pair is a member, so this
