@@ -38,8 +38,8 @@ from fractions import Fraction
 from math import gcd
 from typing import ClassVar, Union
 
-from .exact import Rat
-from .floorfn import DilationPair, oracle_verify
+from .exact import Rat, as_rat
+from .floorfn import DilationPair, OracleReport, oracle_verify
 
 
 @dataclass(frozen=True)
@@ -131,24 +131,38 @@ class Verdict:
 
 @dataclass(frozen=True)
 class MuNu:
-    """First-quadrant coordinates (1/alpha, beta/alpha)."""
+    """First-quadrant coordinates (1/alpha, beta/alpha).
+
+    Each is an int or a Fraction and is stored as a Rat; float and bool
+    raise TypeError.
+    """
 
     mu: Rat
     nu: Rat
 
     def __post_init__(self) -> None:
+        if type(self.mu) is not Fraction or type(self.nu) is not Fraction:
+            object.__setattr__(self, "mu", as_rat(self.mu))
+            object.__setattr__(self, "nu", as_rat(self.nu))
         if self.mu <= 0 or self.nu <= 0:
             raise ValueError("mu, nu must be positive")
 
 
 @dataclass(frozen=True)
 class SigmaTau:
-    """First-quadrant coordinates (alpha, alpha/beta)."""
+    """First-quadrant coordinates (alpha, alpha/beta).
+
+    Each is an int or a Fraction and is stored as a Rat; float and bool
+    raise TypeError.
+    """
 
     sigma: Rat
     tau: Rat
 
     def __post_init__(self) -> None:
+        if type(self.sigma) is not Fraction or type(self.tau) is not Fraction:
+            object.__setattr__(self, "sigma", as_rat(self.sigma))
+            object.__setattr__(self, "tau", as_rat(self.tau))
         if self.sigma <= 0 or self.tau <= 0:
             raise ValueError("sigma, tau must be positive")
 
@@ -272,26 +286,36 @@ def classify(pair: DilationPair) -> Verdict:
     taken from the oracle's argmin; if the oracle were ever to disagree with
     an exhausted witness search, that is a bug and raises.
     """
+    return _classify_with_report(pair)[0]
+
+
+def _classify_with_report(pair: DilationPair) -> tuple[Verdict, OracleReport | None]:
+    """``classify`` plus the oracle report its counterexample came from.
+
+    The report is None for members, whose verdict needs no oracle, so a
+    caller that wants the report for every pair runs the oracle only then.
+    """
     alpha, beta = pair.alpha, pair.beta
     if alpha == 0 or beta == 0:
-        return Verdict(pair, True, AxisZero(), None)
+        return Verdict(pair, True, AxisZero(), None), None
     if alpha < 0 < beta:
-        return Verdict(pair, True, MixedNegPos(), None)
+        return Verdict(pair, True, MixedNegPos(), None), None
     witness: Witness | None = None
     if alpha > 0 and beta > 0:
         witness = positive_witness(alpha, beta)
     elif alpha < 0 and beta < 0:
         witness = negative_witness(alpha, beta)
     if witness is not None:
-        return Verdict(pair, True, witness, None)
+        return Verdict(pair, True, witness, None), None
     report = oracle_verify(pair)
     if report.min_value >= 0:
         raise RuntimeError(f"witness search found nothing but the oracle accepts {pair}")
-    return Verdict(pair, False, None, report.argmin)
+    return Verdict(pair, False, None, report.argmin), report
 
 
 def to_munu(alpha: Rat, beta: Rat) -> MuNu:
     """(alpha, beta) -> (1/alpha, beta/alpha), an involution of the open first quadrant."""
+    alpha, beta = as_rat(alpha), as_rat(beta)
     if alpha <= 0 or beta <= 0:
         raise ValueError("dilation factors must be positive")
     return MuNu(1 / alpha, beta / alpha)
@@ -304,6 +328,7 @@ def from_munu(coords: MuNu) -> DilationPair:
 
 def to_sigmatau(alpha: Rat, beta: Rat) -> SigmaTau:
     """(alpha, beta) -> (alpha, alpha/beta)."""
+    alpha, beta = as_rat(alpha), as_rat(beta)
     if alpha <= 0 or beta <= 0:
         raise ValueError("dilation factors must be positive")
     return SigmaTau(alpha, alpha / beta)

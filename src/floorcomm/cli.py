@@ -28,7 +28,7 @@ from .classify import (
     PositiveLinear,
     Verdict,
     Witness,
-    classify,
+    _classify_with_report,
 )
 from .exact import Rat, format_rat, parse_rat
 from .floorfn import DilationPair, OracleReport, oracle_verify
@@ -106,11 +106,13 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     pair = DilationPair(args.alpha, args.beta)
-    verdict = classify(pair)
+    verdict, report = _classify_with_report(pair)
     payload = verdict_to_dict(verdict)
-    report = None
-    if not args.no_oracle:
-        report = oracle_verify(pair)
+    if args.no_oracle:
+        report = None
+    else:
+        if report is None:
+            report = oracle_verify(pair)
         payload["oracle"] = report_to_dict(report) | {"agrees": report.member == verdict.member}
     if args.fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -186,8 +188,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if not in_quadrant(alpha, beta):
                 continue
             pair = DilationPair(alpha, beta)
-            verdict = classify(pair)
-            report = oracle_verify(pair)
+            verdict, report = _classify_with_report(pair)
+            if report is None:
+                report = oracle_verify(pair)
             agree = verdict.member == report.member
             members += verdict.member
             disagreements += not agree

@@ -9,6 +9,13 @@ with period T = b*d, because alpha*T, beta*T and alpha*beta*T are all
 integers, and it is constant on every open interval between consecutive
 points of (1/alpha)Z u (1/beta)Z.  The oracle therefore decides the sign of
 the commutator over all of R by evaluating finitely many exact points.
+
+It walks the two arithmetic progressions k/|alpha| and j/|beta| of one
+period as a single merged stream, two pointers and no stored points, so it
+runs in time linear in the |a|*d + |c|*b - gcd(|a|*d, |c|*b) breakpoints and
+in O(1) extra memory.  The inner floors floor(alpha*x) and floor(beta*x) are
+the counts of points passed, with a sign correction for a negative factor,
+so each sample costs only the two outer floors.
 """
 
 from __future__ import annotations
@@ -32,8 +39,9 @@ class DilationPair:
     beta: Rat
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", as_rat(self.alpha))
-        object.__setattr__(self, "beta", as_rat(self.beta))
+        if type(self.alpha) is not Fraction or type(self.beta) is not Fraction:
+            object.__setattr__(self, "alpha", as_rat(self.alpha))
+            object.__setattr__(self, "beta", as_rat(self.beta))
 
 
 @dataclass(frozen=True)
@@ -88,9 +96,22 @@ def oracle_verify(pair: DilationPair) -> OracleReport:
 
     Evaluates the commutator at every breakpoint in [0, T) and at the exact
     midpoint of every gap between consecutive breakpoints; piecewise
-    constancy makes this a complete cover of R.  All evaluation is done in
-    scaled integer arithmetic (sample points share the denominator
-    2*|num(alpha)|*|num(beta)|), so large periods stay cheap and exact.
+    constancy makes this a complete cover of R.  Breakpoints are scaled by
+    |num(alpha)*num(beta)|, so the two progressions are k*step_a and
+    j*step_b in integers, and one two-pointer walk merges them in increasing
+    order without storing either: O(1) extra memory, one step per
+    breakpoint.
+
+    The inner floors need no division.  If ka alpha points lie in (0, x],
+    floor(alpha*x) is ka for alpha > 0 and -ka-1 for alpha < 0, except at a
+    point of the alpha progression itself, where alpha*x = -ka is an integer;
+    the same holds for beta.  The walk carries these gap floors and bumps
+    them as it passes a point, so a sample costs only the outer floors
+    floor(alpha*floor(beta*x)) and floor(beta*floor(alpha*x)), one
+    small-integer division each.  Where the breakpoint lies on no
+    progression of a negative factor, it shares its value with the gap after
+    it; the breakpoint comes first in scan order and only a strictly smaller
+    value replaces the best, so one evaluation covers both samples.
     """
     alpha, beta = pair.alpha, pair.beta
     if alpha == 0 or beta == 0:
@@ -102,24 +123,40 @@ def oracle_verify(pair: DilationPair) -> OracleReport:
     span = b * d * scale  # period T = b*d, scaled by `scale`
     step_a = b * abs(c)  # |1/alpha|, scaled
     step_b = d * abs(a)  # |1/beta|, scaled
-    points = sorted(set(range(0, span + 1, step_a)) | set(range(0, span + 1, step_b)))
-    den2 = 2 * scale  # samples (breakpoints and midpoints) live over 2*scale
-    div_a = b * den2
-    div_b = d * den2
-    best: int | None = None
-    best_num = 0
-    for i in range(len(points) - 1):
-        lo, hi = points[i], points[i + 1]
-        for num in (2 * lo, lo + hi):  # breakpoint, then gap midpoint
-            value = (a * ((c * num) // div_b)) // b - (c * ((a * num) // div_a)) // d
-            if best is None or value < best:
-                best, best_num = value, num
-    breakpoints = len(points) - 1
-    assert best is not None
+    neg_a, neg_b = a < 0, c < 0
+    inc_a, inc_b = (-1 if neg_a else 1), (-1 if neg_b else 1)
+    # floor(alpha*x), floor(beta*x) on the open gap after the breakpoint lo
+    fa, fb = -neg_a, -neg_b
+    lo, next_a, next_b = 0, step_a, step_b
+    on_a = on_b = True  # lo lies on the alpha resp. beta progression
+    # x = 0 is the first sample and the commutator vanishes there
+    best = best_num = 0
+    breakpoints = 0
+    while lo < span:
+        hi = next_a if next_a < next_b else next_b
+        gap = (a * fb) // b - (c * fa) // d
+        at_a, at_b = on_a and neg_a, on_b and neg_b
+        if at_a or at_b:
+            point = (a * (fb + at_b)) // b - (c * (fa + at_a)) // d
+            if point < best:
+                best, best_num = point, 2 * lo
+            if gap < best:
+                best, best_num = gap, lo + hi
+        elif gap < best:
+            best, best_num = gap, 2 * lo
+        breakpoints += 1
+        on_a, on_b = next_a == hi, next_b == hi
+        if on_a:
+            next_a += step_a
+            fa += inc_a
+        if on_b:
+            next_b += step_b
+            fb += inc_b
+        lo = hi
     return OracleReport(
         period=Fraction(b * d),
         min_value=best,
-        argmin=Fraction(best_num, den2),
+        argmin=Fraction(best_num, 2 * scale),  # samples live over 2*scale
         breakpoints_checked=breakpoints,
         samples_checked=2 * breakpoints,
     )

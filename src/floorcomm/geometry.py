@@ -13,32 +13,47 @@ lcm(den(sigma), den(tau)), and is enumerated outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 
 from .beatty import reduced_contains
-from .exact import Rat, rat_floor
+from .exact import Rat, as_rat, rat_floor
 
 
 @dataclass(frozen=True)
 class LatticeParams:
-    """Spacings of the rectangular lattice mu*Z x nu*Z; both positive."""
+    """Spacings of the rectangular lattice mu*Z x nu*Z; both positive.
+
+    Each is an int or a Fraction and is stored as a Rat; float and bool
+    raise TypeError.
+    """
 
     mu: Rat
     nu: Rat
 
     def __post_init__(self) -> None:
+        if type(self.mu) is not Fraction or type(self.nu) is not Fraction:
+            object.__setattr__(self, "mu", as_rat(self.mu))
+            object.__setattr__(self, "nu", as_rat(self.nu))
         if self.mu <= 0 or self.nu <= 0:
             raise ValueError("lattice spacings must be positive")
 
 
 @dataclass(frozen=True)
 class CornerRect:
-    """Open box (0, sigma) x (0, tau) with one corner at the origin."""
+    """Open box (0, sigma) x (0, tau) with one corner at the origin.
+
+    Each side is an int or a Fraction and is stored as a Rat; float and bool
+    raise TypeError.
+    """
 
     sigma: Rat
     tau: Rat
 
     def __post_init__(self) -> None:
+        if type(self.sigma) is not Fraction or type(self.tau) is not Fraction:
+            object.__setattr__(self, "sigma", as_rat(self.sigma))
+            object.__setattr__(self, "tau", as_rat(self.tau))
         if self.sigma <= 0 or self.tau <= 0:
             raise ValueError("corner rectangle sides must be positive")
 

@@ -224,6 +224,22 @@ def test_sigmatau_transform():
     assert from_sigmatau(coords) == DilationPair(Fraction(2, 9), Fraction(4, 3))
 
 
+def test_coordinate_classes_store_int_as_fraction():
+    for coords in (MuNu(2, 3), SigmaTau(2, 3), to_munu(2, 3), to_sigmatau(2, 3)):
+        assert all(type(value) is Fraction for value in vars(coords).values())
+    assert to_munu(2, 3) == MuNu(Fraction(1, 2), Fraction(3, 2))
+    assert to_sigmatau(2, 3) == SigmaTau(Fraction(2), Fraction(2, 3))
+    assert from_munu(MuNu(2, 3)) == DilationPair(Fraction(1, 2), Fraction(3, 2))
+    assert from_sigmatau(SigmaTau(2, 3)) == DilationPair(Fraction(2), Fraction(2, 3))
+
+
+def test_coordinate_classes_reject_float_and_bool():
+    for first, second in [(0.5, Fraction(3, 2)), (Fraction(1, 2), 1.5), (True, 2), (2, False), ("1/2", 1)]:
+        for make in (MuNu, SigmaTau, to_munu, to_sigmatau):
+            with pytest.raises(TypeError):
+                make(first, second)
+
+
 def test_transform_domain_errors():
     with pytest.raises(ValueError):
         to_munu(Fraction(0), Fraction(1))

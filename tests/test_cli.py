@@ -11,7 +11,7 @@ import pytest
 
 from floorcomm.classify import classify
 from floorcomm.cli import main, verdict_from_dict, verdict_to_dict
-from floorcomm.floorfn import DilationPair
+from floorcomm.floorfn import DilationPair, oracle_verify
 
 GOLDEN = Path(__file__).parent / "data" / "plot_M2_D2_R2.svg"
 
@@ -98,6 +98,35 @@ def test_sweep_csv_contract(capsys, tmp_path):
     assert all(row[6] == "true" for row in body)
     err = capsys.readouterr().err
     assert "9 pairs, 0 members, 0 disagreements" in err
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Every pair the oracle is run on, whether by the CLI or inside classify."""
+    calls = []
+
+    def counting_oracle(pair):
+        calls.append(pair)
+        return oracle_verify(pair)
+
+    for module in ("floorcomm.classify", "floorcomm.cli"):
+        monkeypatch.setattr(sys.modules[module], "oracle_verify", counting_oracle)
+    return calls
+
+
+def test_sweep_runs_the_oracle_once_per_pair(oracle_calls, capsys):
+    assert main(["sweep", "-P", "3", "-Q", "3", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(oracle_calls) == len(rows) == len(set(oracle_calls))
+    assert any(row["member"] for row in rows) and not all(row["member"] for row in rows)
+
+
+def test_classify_runs_the_oracle_once(oracle_calls, capsys):
+    for alpha, beta in [("2/3", "1/2"), ("1/3", "1/2")]:
+        oracle_calls.clear()
+        main(["classify", alpha, beta])
+        assert len(oracle_calls) == 1
+        assert json.loads(capsys.readouterr().out)["oracle"]["agrees"] is True
 
 
 def test_sweep_negative_positive_quadrant_all_members(tmp_path):

@@ -53,6 +53,18 @@ def test_lattice_params_validation():
         LatticeParams(Fraction(0), Fraction(1))
 
 
+def test_geometry_params_store_int_and_reject_float_and_bool():
+    assert LatticeParams(2, 3) == LatticeParams(Fraction(2), Fraction(3))
+    assert CornerRect(2, 3) == CornerRect(Fraction(2), Fraction(3))
+    for params in (LatticeParams(2, Fraction(1, 3)), CornerRect(Fraction(1, 3), 2)):
+        assert all(type(value) is Fraction for value in vars(params).values())
+    assert torus_subgroup_avoids(CornerRect(2, 3)) == (False, 1)
+    for first, second in [(0.5, Fraction(3, 2)), (Fraction(1, 2), 1.5), (True, 2), (2, False)]:
+        for make in (LatticeParams, CornerRect):
+            with pytest.raises(TypeError):
+                make(first, second)
+
+
 def test_complementary_hyperbola_always_disjoint():
     # mu > 1 rational with nu = mu/(mu - 1); both capped at 20
     seen = 0
