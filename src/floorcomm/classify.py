@@ -33,7 +33,7 @@ non-members, by the test suite for members).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import ClassVar, Union
@@ -127,11 +127,17 @@ class Verdict:
     member: bool
     witness: Witness | None
     counterexample: Rat | None
+    # the oracle run a non-member's counterexample came from, kept so callers
+    # that also want the report need not run the oracle again
+    report: OracleReport | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class MuNu:
     """First-quadrant coordinates (1/alpha, beta/alpha).
+
+    They are also the spacings of the lattice mu*Z x nu*Z of the
+    enlarged-diagonal criterion (``geometry.LatticeParams``).
 
     Each is an int or a Fraction and is stored as a Rat; float and bool
     raise TypeError.
@@ -151,6 +157,9 @@ class MuNu:
 @dataclass(frozen=True)
 class SigmaTau:
     """First-quadrant coordinates (alpha, alpha/beta).
+
+    They are also the sides of the torus corner box (0, sigma) x (0, tau)
+    (``geometry.CornerRect``).
 
     Each is an int or a Fraction and is stored as a Rat; float and bool
     raise TypeError.
@@ -265,52 +274,39 @@ def _sporadic_witness(p: int, q: int, c: int, d: int) -> NegSporadic | None:
     return None
 
 
+def _witness(alpha: Rat, beta: Rat) -> Witness | None:
+    """The sign dispatch: the member certificate of (alpha, beta), or None."""
+    if alpha == 0 or beta == 0:
+        return AxisZero()
+    if alpha < 0 < beta:
+        return MixedNegPos()
+    if alpha > 0 and beta > 0:
+        return positive_witness(alpha, beta)
+    if alpha < 0 and beta < 0:
+        return negative_witness(alpha, beta)
+    return None
+
+
 def is_member(pair: DilationPair) -> bool:
     """Membership by sign dispatch and witness search, without the oracle."""
-    alpha, beta = pair.alpha, pair.beta
-    if alpha == 0 or beta == 0:
-        return True
-    if alpha < 0 < beta:
-        return True
-    if alpha > 0 > beta:
-        return False
-    if alpha > 0:
-        return positive_witness(alpha, beta) is not None
-    return negative_witness(alpha, beta) is not None
+    return _witness(pair.alpha, pair.beta) is not None
 
 
 def classify(pair: DilationPair) -> Verdict:
     """Full verdict: membership plus a witness or an explicit violating point.
 
     Non-member verdicts always carry a counterexample x with commutator < 0,
-    taken from the oracle's argmin; if the oracle were ever to disagree with
-    an exhausted witness search, that is a bug and raises.
+    taken from the oracle's argmin, and the oracle report it came from; if
+    the oracle were ever to disagree with an exhausted witness search, that
+    is a bug and raises.
     """
-    return _classify_with_report(pair)[0]
-
-
-def _classify_with_report(pair: DilationPair) -> tuple[Verdict, OracleReport | None]:
-    """``classify`` plus the oracle report its counterexample came from.
-
-    The report is None for members, whose verdict needs no oracle, so a
-    caller that wants the report for every pair runs the oracle only then.
-    """
-    alpha, beta = pair.alpha, pair.beta
-    if alpha == 0 or beta == 0:
-        return Verdict(pair, True, AxisZero(), None), None
-    if alpha < 0 < beta:
-        return Verdict(pair, True, MixedNegPos(), None), None
-    witness: Witness | None = None
-    if alpha > 0 and beta > 0:
-        witness = positive_witness(alpha, beta)
-    elif alpha < 0 and beta < 0:
-        witness = negative_witness(alpha, beta)
+    witness = _witness(pair.alpha, pair.beta)
     if witness is not None:
-        return Verdict(pair, True, witness, None), None
+        return Verdict(pair, True, witness, None)
     report = oracle_verify(pair)
     if report.min_value >= 0:
         raise RuntimeError(f"witness search found nothing but the oracle accepts {pair}")
-    return Verdict(pair, False, None, report.argmin), report
+    return Verdict(pair, False, None, report.argmin, report)
 
 
 def to_munu(alpha: Rat, beta: Rat) -> MuNu:

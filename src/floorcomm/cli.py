@@ -28,7 +28,7 @@ from .classify import (
     PositiveLinear,
     Verdict,
     Witness,
-    _classify_with_report,
+    classify,
 )
 from .exact import Rat, format_rat, parse_rat
 from .floorfn import DilationPair, OracleReport, oracle_verify
@@ -41,7 +41,6 @@ _WITNESS_TYPES = {
     for cls in (AxisZero, MixedNegPos, PositiveLinear, NegHyperbola, NegVertical, NegSporadic)
 }
 
-# lets bare negative rationals like -3/2 pass as positional arguments
 _NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$")
 
 
@@ -90,10 +89,10 @@ def report_to_dict(report: OracleReport) -> dict[str, Any]:
     }
 
 
-def _witness_params(witness: Witness | None) -> str:
+def _witness_params(witness: Witness | None, sep: str) -> str:
     if witness is None:
         return ""
-    return ";".join(f"{key}={value}" for key, value in dataclasses.asdict(witness).items())
+    return sep.join(f"{key}={value}" for key, value in dataclasses.asdict(witness).items())
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -106,13 +105,11 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     pair = DilationPair(args.alpha, args.beta)
-    verdict, report = _classify_with_report(pair)
+    verdict = classify(pair)
     payload = verdict_to_dict(verdict)
-    if args.no_oracle:
-        report = None
-    else:
-        if report is None:
-            report = oracle_verify(pair)
+    report = None
+    if not args.no_oracle:
+        report = verdict.report or oracle_verify(pair)
         payload["oracle"] = report_to_dict(report) | {"agrees": report.member == verdict.member}
     if args.fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -120,9 +117,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         status = "member" if verdict.member else "non-member"
         print(f"({payload['alpha']}, {payload['beta']}): {status}")
         if verdict.witness is not None:
-            params = " ".join(
-                f"{key}={value}" for key, value in dataclasses.asdict(verdict.witness).items()
-            )
+            params = _witness_params(verdict.witness, " ")
             print(f"witness: {verdict.witness.kind}" + (f" {params}" if params else ""))
         if verdict.counterexample is not None:
             print(f"counterexample: x = {format_rat(verdict.counterexample)}")
@@ -188,9 +183,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if not in_quadrant(alpha, beta):
                 continue
             pair = DilationPair(alpha, beta)
-            verdict, report = _classify_with_report(pair)
-            if report is None:
-                report = oracle_verify(pair)
+            verdict = classify(pair)
+            report = verdict.report or oracle_verify(pair)
             agree = verdict.member == report.member
             members += verdict.member
             disagreements += not agree
@@ -201,7 +195,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     "beta": format_rat(beta),
                     "member": verdict.member,
                     "witness_kind": "" if witness is None else witness.kind,
-                    "witness_params": _witness_params(witness),
+                    "witness_params": _witness_params(witness, ";"),
                     "oracle_min": report.min_value,
                     "agree": agree,
                 }
@@ -292,7 +286,7 @@ def cmd_preorder(args: argparse.Namespace) -> int:
     values = [v for v in sweep_values(args.num_bound, args.den_bound) if v != 0]
     matrix = [[precedes(a, b) for b in values] for a in values]
     violation = audit_transitivity(values)
-    if args.fmt == "csv":
+    if args.fmt == "plain":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["alpha\\beta"] + [format_rat(v) for v in values])
@@ -335,12 +329,6 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _allow_negative_rationals(parser: argparse.ArgumentParser) -> None:
-    # argparse only waves through option-like tokens that look like negative
-    # numbers; widen that to negative p/q so `classify -3/2 -3/4` parses
-    parser._negative_number_matcher = _NEGATIVE_RATIONAL  # noqa: SLF001
-
-
 def _add_format_flags(parser: argparse.ArgumentParser, *, plain_name: str = "--plain") -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--json", dest="fmt", action="store_const", const="json", default="json")
@@ -352,11 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="floorcomm",
         description="Exact classification of dilated floor function pairs by commutator sign.",
     )
-    _allow_negative_rationals(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="membership verdict with certifying witness")
-    _allow_negative_rationals(p)
     p.add_argument("alpha", type=parse_rat, help="dilation factor, p or p/q")
     p.add_argument("beta", type=parse_rat, help="dilation factor, p or p/q")
     p.add_argument("--no-oracle", action="store_true", help="skip the exhaustive cross-check")
@@ -364,14 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="exhaustive commutator minimum over one period")
-    _allow_negative_rationals(p)
     p.add_argument("alpha", type=parse_rat)
     p.add_argument("beta", type=parse_rat)
     _add_format_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="classify a rational grid and cross-check every verdict")
-    _allow_negative_rationals(p)
     p.add_argument("-P", "--num-bound", type=int, default=4, help="max |numerator| (default 4)")
     p.add_argument("-Q", "--den-bound", type=int, default=4, help="max denominator (default 4)")
     p.add_argument(
@@ -385,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep, fmt="plain")
 
     p = sub.add_parser("beatty", help="Beatty sequence windows and disjointness")
-    _allow_negative_rationals(p)
     p.add_argument("u", type=parse_rat)
     p.add_argument("v", type=parse_rat)
     p.add_argument("--window", type=int, nargs=2, default=(-10, 20), metavar=("LO", "HI"))
@@ -402,13 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-P", "--num-bound", type=int, default=3)
     p.add_argument("-Q", "--den-bound", type=int, default=3)
     p.add_argument("--out", help="output path (default stdout)")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--json", dest="fmt", action="store_const", const="json", default="json")
-    group.add_argument("--csv", dest="fmt", action="store_const", const="csv")
+    _add_format_flags(p, plain_name="--csv")
     p.set_defaults(func=cmd_preorder)
 
     p = sub.add_parser("plot", help="SVG map of the member set")
-    _allow_negative_rationals(p)
     p.add_argument(
         "--viewbox",
         type=parse_rat,
@@ -424,6 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_plot)
 
+    for p in (parser, *sub.choices.values()):
+        # argparse only waves through option-like tokens that look like negative
+        # numbers; widen that to negative p/q so `classify -3/2 -3/4` parses
+        p._negative_number_matcher = _NEGATIVE_RATIONAL  # noqa: SLF001
     return parser
 
 

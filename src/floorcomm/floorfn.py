@@ -74,18 +74,20 @@ def commutator(pair: DilationPair, x: Rat | int) -> int:
     return rat_floor(alpha * dilated_floor(beta, x)) - rat_floor(beta * dilated_floor(alpha, x))
 
 
-def lower_round(alpha: Rat, x: Rat) -> Rat:
+def lower_round(alpha: Rat | int, x: Rat | int) -> Rat:
     """Slope-1 rounding down onto the grid alpha*Z: alpha*floor(x/alpha).
 
     Extended to alpha = 0 as the identity, the pointwise limit of the family.
     """
+    alpha, x = as_rat(alpha), as_rat(x)
     if alpha == 0:
-        return Fraction(x)
+        return x
     return alpha * rat_floor(x / alpha)
 
 
-def upper_round(alpha: Rat, x: Rat) -> Rat:
+def upper_round(alpha: Rat | int, x: Rat | int) -> Rat:
     """Slope-1 rounding up onto alpha*Z: alpha*ceil(x/alpha); alpha != 0."""
+    alpha, x = as_rat(alpha), as_rat(x)
     if alpha == 0:
         raise ValueError("upper rounding is undefined for zero dilation")
     return alpha * rat_ceil(x / alpha)
@@ -162,13 +164,14 @@ def oracle_verify(pair: DilationPair) -> OracleReport:
     )
 
 
-def integer_rounding_check(alpha: Rat, beta: Rat) -> tuple[bool, int | None]:
+def integer_rounding_check(alpha: Rat | int, beta: Rat | int) -> tuple[bool, int | None]:
     """Decide upper_round(alpha, n) <= upper_round(beta, n) for every integer n.
 
     Both sides shift by num(alpha) resp. num(beta) when n shifts by the same
     amount, so scanning n in [0, lcm(num(alpha), num(beta))) is exhaustive.
     Returns (True, None), or (False, n) with the least violating n >= 0.
     """
+    alpha, beta = as_rat(alpha), as_rat(beta)
     if alpha <= 0 or beta <= 0:
         raise ValueError("dilation factors must be positive")
     a1, b1 = alpha.numerator, alpha.denominator
@@ -181,11 +184,12 @@ def integer_rounding_check(alpha: Rat, beta: Rat) -> tuple[bool, int | None]:
     return True, None
 
 
-def rounding_order(alpha: Rat, beta: Rat) -> bool:
+def rounding_order(alpha: Rat | int, beta: Rat | int) -> bool:
     """True iff lower_round(alpha, x) <= lower_round(beta, x) for all real x.
 
     Holds exactly when alpha is a positive integer multiple of beta.
     """
+    alpha, beta = as_rat(alpha), as_rat(beta)
     if alpha <= 0 or beta <= 0:
         raise ValueError("dilation factors must be positive")
     return (alpha / beta).denominator == 1

@@ -12,50 +12,17 @@ lcm(den(sigma), den(tau)), and is enumerated outright.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
-from .beatty import reduced_contains
-from .exact import Rat, as_rat, rat_floor
+from .beatty import _least_common_reduced
+from .classify import MuNu, SigmaTau
+from .exact import Rat, rat_floor
 
 
-@dataclass(frozen=True)
-class LatticeParams:
-    """Spacings of the rectangular lattice mu*Z x nu*Z; both positive.
-
-    Each is an int or a Fraction and is stored as a Rat; float and bool
-    raise TypeError.
-    """
-
-    mu: Rat
-    nu: Rat
-
-    def __post_init__(self) -> None:
-        if type(self.mu) is not Fraction or type(self.nu) is not Fraction:
-            object.__setattr__(self, "mu", as_rat(self.mu))
-            object.__setattr__(self, "nu", as_rat(self.nu))
-        if self.mu <= 0 or self.nu <= 0:
-            raise ValueError("lattice spacings must be positive")
-
-
-@dataclass(frozen=True)
-class CornerRect:
-    """Open box (0, sigma) x (0, tau) with one corner at the origin.
-
-    Each side is an int or a Fraction and is stored as a Rat; float and bool
-    raise TypeError.
-    """
-
-    sigma: Rat
-    tau: Rat
-
-    def __post_init__(self) -> None:
-        if type(self.sigma) is not Fraction or type(self.tau) is not Fraction:
-            object.__setattr__(self, "sigma", as_rat(self.sigma))
-            object.__setattr__(self, "tau", as_rat(self.tau))
-        if self.sigma <= 0 or self.tau <= 0:
-            raise ValueError("corner rectangle sides must be positive")
+# the lattice spacings are the (mu, nu) coordinates and the corner box sides
+# the (sigma, tau) coordinates of the classifier, with the same validation
+LatticeParams = MuNu
+CornerRect = SigmaTau
 
 
 def in_enlarged_diagonal(x: Rat, y: Rat) -> bool:
@@ -71,12 +38,12 @@ def lattice_diag_disjoint(params: LatticeParams) -> tuple[bool, tuple[int, int] 
     lattice indices (k, l) with (k*mu, l*nu) inside a diagonal square.
     """
     mu, nu = params.mu, params.nu
-    for m in range(lcm(mu.numerator, nu.numerator)):
-        if reduced_contains(mu, m) and reduced_contains(nu, m):
-            k = (m * mu.denominator) // mu.numerator + 1  # least k with k*mu > m
-            ell = (m * nu.denominator) // nu.numerator + 1
-            return False, (k, ell)
-    return True, None
+    m = _least_common_reduced(mu, nu)
+    if m is None:
+        return True, None
+    k = (m * mu.denominator) // mu.numerator + 1  # least k with k*mu > m
+    ell = (m * nu.denominator) // nu.numerator + 1
+    return False, (k, ell)
 
 
 def frac_part(x: Rat) -> Rat:

@@ -1,7 +1,9 @@
 """Reference witness searches: plain linear scans over Fraction steps.
 
 These are the searches floorcomm shipped before the closed forms in
-``floorcomm.classify``.  They walk every candidate in order, so the first hit
+``floorcomm.classify``, and the Beatty disjointness scan that
+``floorcomm.beatty.disjointness_witness`` ran before it became a call of the
+positive line.  They walk every candidate in order, so the first hit
 defines the tie-breaks the closed forms must reproduce.  Their cost is linear
 (positive line, hyperbola) or quadratic (sporadic) in the denominators, so
 the differential tests only call them on small inputs.
@@ -51,4 +53,15 @@ def reference_negative_witness(
             r = (share - 1) / slope
             if r.denominator == 1 and r >= 2:
                 return NegSporadic(p, q, m, n, int(r))
+    return None
+
+
+def reference_disjointness_witness(u: Fraction, v: Fraction) -> tuple[int, int] | None:
+    """Scan m = 0, 1, ..., floor(u) for an integer n = v*(1 - m/u) with m/u + n/v = 1."""
+    if u <= 0 or v <= 0:
+        raise ValueError("Beatty parameter must be positive")
+    for m in range(rat_floor(u) + 1):
+        n = v * (1 - Fraction(m) / u)
+        if n.denominator == 1 and (m > 0 or n > 0):
+            return m, int(n)
     return None

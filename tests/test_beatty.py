@@ -85,6 +85,21 @@ def test_reduced_disjoint_examples():
     assert reduced_disjoint(Fraction(3), Fraction(7, 2))
 
 
+def test_int_parameters_work_and_float_and_bool_are_rejected():
+    assert disjointness_witness(2, 3) == (0, 3)
+    assert disjointness_witness(3, Fraction(7, 3)) == (3, 0)
+    assert reduced_disjoint(2, 3) and reduced_disjoint(Fraction(5, 2), 3)
+    assert beatty_pos_contains(2, 4) and beatty_contains(2, -4) and not reduced_contains(2, 4)
+    for first, second in [(2.5, Fraction(3)), (Fraction(5, 2), 3.0), (True, Fraction(3)), (2, False)]:
+        for fn in (disjointness_witness, reduced_disjoint):
+            with pytest.raises(TypeError):
+                fn(first, second)
+    for fn in (beatty_pos_contains, beatty_contains, reduced_contains):
+        for bad in (2.5, True):
+            with pytest.raises(TypeError):
+                fn(bad, 1)
+
+
 def test_reduced_disjoint_rejects_nonpositive():
     with pytest.raises(ValueError):
         reduced_disjoint(Fraction(0), Fraction(1, 2))

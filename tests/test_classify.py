@@ -14,6 +14,7 @@ from floorcomm.classify import (
     NegVertical,
     PositiveLinear,
     SigmaTau,
+    Verdict,
     birational,
     classify,
     from_munu,
@@ -129,6 +130,16 @@ def test_classify_verdicts_are_certified():
         verdict = classify(DilationPair(alpha, beta))
         assert not verdict.member
         assert commutator(verdict.pair, verdict.counterexample) < 0
+
+
+def test_verdict_carries_the_oracle_report_outside_equality_and_repr():
+    pair = DilationPair(Fraction(2, 3), Fraction(1, 2))
+    verdict = classify(pair)
+    assert verdict.report == oracle_verify(pair)
+    assert verdict.counterexample == verdict.report.argmin
+    bare = Verdict(pair, False, None, verdict.counterexample)
+    assert verdict == bare and repr(verdict) == repr(bare)
+    assert classify(DilationPair(Fraction(1, 3), Fraction(1, 2))).report is None
 
 
 def test_diagonal_family_members():

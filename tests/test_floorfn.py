@@ -56,6 +56,18 @@ def test_upper_round_examples():
     assert upper_round(Fraction(1), Fraction(7, 3)) == 3
 
 
+def test_rounding_functions_take_int_and_reject_float_and_bool():
+    assert lower_round(2, 3) == 2 and isinstance(lower_round(2, 3), Fraction)
+    assert lower_round(0, 3) == 3 and isinstance(lower_round(0, 3), Fraction)
+    assert upper_round(2, 3) == 4
+    assert rounding_order(2, 3) is False and rounding_order(6, 3) is True
+    assert integer_rounding_check(2, 3) == integer_rounding_check(Fraction(2), Fraction(3))
+    for fn in (lower_round, upper_round, rounding_order, integer_rounding_check):
+        for first, second in [(0.5, 1), (1, 1.5), (True, 1), (1, False)]:
+            with pytest.raises(TypeError):
+                fn(first, second)
+
+
 def test_upper_round_rejects_zero():
     with pytest.raises(ValueError):
         upper_round(Fraction(0), Fraction(1))

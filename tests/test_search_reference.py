@@ -6,9 +6,14 @@ from math import gcd
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import signed_grid
+from conftest import positive_grid, signed_grid
+from floorcomm.beatty import disjointness_witness
 from floorcomm.classify import NegHyperbola, NegSporadic, PositiveLinear, negative_witness, positive_witness
-from reference_search import reference_negative_witness, reference_positive_witness
+from reference_search import (
+    reference_disjointness_witness,
+    reference_negative_witness,
+    reference_positive_witness,
+)
 
 
 def test_closed_forms_match_reference_scans_on_grid():
@@ -24,6 +29,17 @@ def test_closed_forms_match_reference_scans_on_grid():
                 continue
             compared += 1
     assert compared == 16562
+
+
+def test_disjointness_witness_matches_reference_scan():
+    grid = positive_grid(12, 12)
+    assert len(grid) ** 2 == 8281
+    for u in grid:
+        for v in grid:
+            assert disjointness_witness(u, v) == reference_disjointness_witness(u, v), (u, v)
+    for u in range(1, 7):
+        for v in range(1, 7):
+            assert disjointness_witness(u, v) == reference_disjointness_witness(Fraction(u), Fraction(v))
 
 
 @st.composite
