@@ -66,7 +66,7 @@ from .geometry import (
     torus_subgroup_avoids,
 )
 from .plot import PlotModel, PlotSpec, build_plot_model, render_svg
-from .preorder import audit_transitivity, equivalence_classes, equivalent, precedes
+from .preorder import Preorder, audit_transitivity, equivalence_classes, equivalent, precedes
 from .semigroup import SemigroupPair, frobenius_number, nonrealizing_set, sg_contains, sylvester_duality_holds
 
 __version__ = "0.1.0"
@@ -85,6 +85,7 @@ __all__ = [
     "PlotModel",
     "PlotSpec",
     "PositiveLinear",
+    "Preorder",
     "Rat",
     "SemigroupPair",
     "SigmaTau",

@@ -13,10 +13,11 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .beatty import beatty_contains, beatty_pos_contains, reduced_contains, reduced_disjoint, disjointness_witness
 from .classify import (
@@ -33,7 +34,7 @@ from .classify import (
 from .exact import Rat, format_rat, parse_rat
 from .floorfn import DilationPair, OracleReport, oracle_verify
 from .plot import PlotSpec, build_plot_model, render_svg
-from .preorder import audit_transitivity, equivalence_classes, precedes
+from .preorder import Preorder
 from .semigroup import SemigroupPair, frobenius_number, nonrealizing_set, sylvester_duality_holds
 
 _WITNESS_TYPES = {
@@ -101,6 +102,14 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+
+
+def _emit_csv(rows: Iterable[Sequence[Any]], out: str | None) -> None:
+    """Write rows, the header first, as CSV with bools as ``true``/``false``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerows([str(v).lower() if isinstance(v, bool) else v for v in row] for row in rows)
+    _emit(buffer.getvalue(), out)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -175,7 +184,8 @@ SWEEP_COLUMNS = ("alpha", "beta", "member", "witness_kind", "witness_params", "o
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     values = sweep_values(args.num_bound, args.den_bound)
-    in_quadrant = _QUADRANT_TESTS[args.quadrant]
+    # argparse drops the lone "--" of --quadrant=-- and leaves an empty list
+    in_quadrant = _QUADRANT_TESTS[args.quadrant or "--"]
     rows = []
     members = disagreements = 0
     for alpha in values:
@@ -189,37 +199,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             members += verdict.member
             disagreements += not agree
             witness = verdict.witness
-            rows.append(
-                {
-                    "alpha": format_rat(alpha),
-                    "beta": format_rat(beta),
-                    "member": verdict.member,
-                    "witness_kind": "" if witness is None else witness.kind,
-                    "witness_params": _witness_params(witness, ";"),
-                    "oracle_min": report.min_value,
-                    "agree": agree,
-                }
-            )
+            kind = "" if witness is None else witness.kind
+            params = _witness_params(witness, ";")
+            rows.append((format_rat(alpha), format_rat(beta), verdict.member, kind, params, report.min_value, agree))
     summary = {"pairs": len(rows), "members": members, "disagreements": disagreements}
     if args.fmt == "json":
-        _emit(json.dumps({"rows": rows, "summary": summary}, indent=2) + "\n", args.out)
+        payload = {"rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows], "summary": summary}
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["alpha"],
-                    row["beta"],
-                    str(row["member"]).lower(),
-                    row["witness_kind"],
-                    row["witness_params"],
-                    row["oracle_min"],
-                    str(row["agree"]).lower(),
-                ]
-            )
-        _emit(buffer.getvalue(), args.out)
+        _emit_csv([SWEEP_COLUMNS, *rows], args.out)
     print(
         f"sweep: {summary['pairs']} pairs, {summary['members']} members,"
         f" {summary['disagreements']} disagreements",
@@ -283,30 +271,26 @@ def cmd_frobenius(args: argparse.Namespace) -> int:
 
 
 def cmd_preorder(args: argparse.Namespace) -> int:
-    values = [v for v in sweep_values(args.num_bound, args.den_bound) if v != 0]
-    matrix = [[precedes(a, b) for b in values] for a in values]
-    violation = audit_transitivity(values)
+    relation = Preorder.on(v for v in sweep_values(args.num_bound, args.den_bound) if v != 0)
+    labels = [format_rat(v) for v in relation.values]
+    violation = relation.violation()
     if args.fmt == "plain":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["alpha\\beta"] + [format_rat(v) for v in values])
-        for value, row in zip(values, matrix):
-            writer.writerow([format_rat(value)] + [str(flag).lower() for flag in row])
-        _emit(buffer.getvalue(), args.out)
+        rows = ([label, *row] for label, row in zip(labels, relation.matrix()))
+        _emit_csv([["alpha\\beta", *labels], *rows], args.out)
     else:
         payload = {
-            "values": [format_rat(v) for v in values],
-            "precedes": matrix,
+            "values": labels,
+            "precedes": relation.matrix(),
             "transitivity_counterexample": None
             if violation is None
             else [format_rat(v) for v in violation],
             "equivalence_classes": [
-                [format_rat(v) for v in cls] for cls in equivalence_classes(values)
+                [format_rat(v) for v in cls] for cls in relation.classes()
             ],
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     print(
-        f"preorder: {len(values)} values, transitivity"
+        f"preorder: {len(labels)} values, transitivity"
         f" {'violated: ' + str(violation) if violation else 'holds'}",
         file=sys.stderr,
     )
@@ -415,7 +399,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here and not at interpreter exit
+        return code
+    except BrokenPipeError as exc:
+        # a reader has gone: as in the Python docs' SIGPIPE note, point each stream
+        # whose pipe is closed at devnull, so the final flush at exit cannot fail
+        for stream, text in ((sys.stdout, ""), (sys.stderr, f"error: {exc}\n")):
+            try:
+                stream.write(text)
+                stream.flush()
+            except BrokenPipeError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

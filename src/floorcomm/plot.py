@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exact import Rat, format_rat
+from .exact import Rat, as_rat, format_rat
 
 CURVE_KINDS = ("vertical", "oblique", "pos_hyperbola", "neg_line", "neg_hyperbola")
 
@@ -33,6 +33,8 @@ class PlotSpec:
     samples: int = 64  # polyline resolution per curve
 
     def __post_init__(self) -> None:
+        for bound in ("alpha_min", "alpha_max", "beta_min", "beta_max"):
+            object.__setattr__(self, bound, as_rat(getattr(self, bound)))
         if self.alpha_min >= self.alpha_max or self.beta_min >= self.beta_max:
             raise ValueError("empty view box")
         if self.curve_bound < 0 or self.sporadic_r_bound < 1 or self.den_bound < 1:

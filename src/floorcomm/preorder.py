@@ -4,13 +4,14 @@ alpha precedes beta iff the commutator of their dilated floor functions is
 everywhere nonnegative.  The relation is reflexive and transitive; restricted
 to positive integers it is divisibility, and restricted to negatives it is
 already a partial order.  This module offers pairwise queries, equivalence,
-an exhaustive transitivity audit over a finite grid, and grid equivalence
-classes under a canonical representative.
+and the relation on a finite grid built once, from which the transitivity
+audit and grid equivalence classes under a canonical representative are read.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 from .classify import is_member
 from .exact import Rat
@@ -29,39 +30,52 @@ def equivalent(alpha: Rat, beta: Rat) -> bool:
     return precedes(alpha, beta) and precedes(beta, alpha)
 
 
-def audit_transitivity(grid: Iterable[Rat]) -> tuple[Rat, Rat, Rat] | None:
-    """Scan all ordered triples for a transitivity violation; None if sound.
+@dataclass(frozen=True)
+class Preorder:
+    """The relation on distinct values as bitmask rows: bit j of rows[i] is set iff
+    values[i] precedes values[j].  ``on`` calls precedes once per ordered pair."""
 
-    Pairwise verdicts are memoized, so the triple scan is pure lookups.
-    """
-    values: Sequence[Rat] = list(grid)
-    rel = {(x, y): precedes(x, y) for x in values for y in values}
-    for a in values:
-        for b in values:
-            if not rel[a, b]:
-                continue
-            for c in values:
-                if rel[b, c] and not rel[a, c]:
-                    return a, b, c
-    return None
+    values: tuple[Rat, ...]
+    rows: tuple[int, ...]
+
+    @classmethod
+    def on(cls, grid: Iterable[Rat]) -> Preorder:
+        values = tuple(dict.fromkeys(grid))
+        rows = tuple(sum(1 << j for j, b in enumerate(values) if precedes(a, b)) for a in values)
+        return cls(values, rows)
+
+    def matrix(self) -> list[list[bool]]:
+        return [[bool(row >> j & 1) for j in range(len(self.values))] for row in self.rows]
+
+    def violation(self) -> tuple[Rat, Rat, Rat] | None:
+        """First (a, b, c) in grid order with a ~ b ~ c, not a ~ c: row b is not inside row a."""
+        for a, row in enumerate(self.rows):
+            for b, row_b in enumerate(self.rows):
+                if missing := row >> b & 1 and row_b & ~row:
+                    c = (missing & -missing).bit_length() - 1
+                    return self.values[a], self.values[b], self.values[c]
+        return None
+
+    def classes(self) -> list[list[Rat]]:
+        """Classes of mutual precedence, canonical representative (least denominator, then
+        numerator) first; classes are ordered by their representatives."""
+        classes: list[list[Rat]] = []
+        assigned = 0
+        for i, row in enumerate(self.rows):
+            if not assigned >> i & 1:
+                mutual = [j for j, row_j in enumerate(self.rows) if row >> j & 1 and row_j >> i & 1]
+                assigned |= sum(1 << j for j in mutual)
+                cls = sorted((self.values[j] for j in mutual), key=lambda v: (v.denominator, v.numerator))
+                classes.append(cls)
+        classes.sort(key=lambda cls: (cls[0].denominator, cls[0].numerator))
+        return classes
+
+
+def audit_transitivity(grid: Iterable[Rat]) -> tuple[Rat, Rat, Rat] | None:
+    """The first transitivity violation (a, b, c) in grid order; None if sound."""
+    return Preorder.on(grid).violation()
 
 
 def equivalence_classes(grid: Iterable[Rat]) -> list[list[Rat]]:
-    """Partition a grid by mutual precedence.
-
-    Each class is sorted with its canonical representative first (smallest
-    denominator, then smallest numerator); classes are ordered by their
-    representatives under the same key.
-    """
-    values = list(dict.fromkeys(grid))
-    classes: list[list[Rat]] = []
-    assigned: set[Rat] = set()
-    for value in values:
-        if value in assigned:
-            continue
-        cls = [other for other in values if equivalent(value, other)]
-        assigned.update(cls)
-        cls.sort(key=lambda v: (v.denominator, v.numerator))
-        classes.append(cls)
-    classes.sort(key=lambda cls: (cls[0].denominator, cls[0].numerator))
-    return classes
+    """Partition a grid by mutual precedence; see ``Preorder.classes``."""
+    return Preorder.on(grid).classes()

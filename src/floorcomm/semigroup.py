@@ -1,9 +1,10 @@
 """Two-generator numerical semigroups: membership, Frobenius number, duality.
 
-S(a, b) = a*N + b*N for coprime a, b >= 1.  Everything here runs at desk
-scale, so membership is a direct divisibility scan and the duality check is
-a full sweep of [0, a*b - a - b]; simplicity is the point, since these serve
-as ground truth for the torus necessity argument.
+S(a, b) = a*N + b*N for coprime a, b >= 1.  Membership is O(1): n is in
+S(a, b) iff the least multiple of b congruent to n mod a is at most n, one
+modular inverse.  The gap list and the duality check sweep all of
+[0, a*b - a - b], O(a*b) steps; they serve as ground truth for the torus
+necessity argument.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ def sg_contains(sg: SemigroupPair, n: int) -> bool:
         raise ValueError("membership is defined on nonnegative integers")
     if sg.a == 1 or sg.b == 1:
         return True
-    return any((n - i * sg.a) % sg.b == 0 for i in range(n // sg.a + 1))
+    # b*((n/b) mod a) is the least multiple of b congruent to n mod a
+    return sg.b * (n * pow(sg.b, -1, sg.a) % sg.a) <= n
 
 
 def _require_proper(sg: SemigroupPair) -> None:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from floorcomm.classify import classify
+from floorcomm.classify import classify, is_member
 from floorcomm.cli import main, verdict_from_dict, verdict_to_dict
 from floorcomm.floorfn import DilationPair, oracle_verify
 
-GOLDEN = Path(__file__).parent / "data" / "plot_M2_D2_R2.svg"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "plot_M2_D2_R2.svg"
 
 
 def test_classify_member_exit_code_and_json(capsys):
@@ -138,6 +140,15 @@ def test_sweep_negative_positive_quadrant_all_members(tmp_path):
     assert all(row[3] == "mixed_neg_pos" for row in body)
 
 
+def test_sweep_negative_quadrant(tmp_path):
+    # argparse hands the lone "--" of this spelling over as an empty list
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "-P", "2", "-Q", "2", "--quadrant=--", "--out", str(out)]) == 0
+    body = list(csv.reader(out.read_text().splitlines()))[1:]
+    assert len(body) == 9
+    assert all(Fraction(row[0]) < 0 and Fraction(row[1]) < 0 for row in body)
+
+
 def test_sweep_rows_sorted_and_json_mode(capsys):
     assert main(["sweep", "-P", "2", "-Q", "1", "--quadrant=++", "--json"]) == 0
     captured = capsys.readouterr()
@@ -190,6 +201,56 @@ def test_preorder_csv(tmp_path, capsys):
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0][0] == "alpha\\beta"
     assert len(rows) == len(rows[0])  # square matrix plus header row/column
+
+
+@pytest.mark.parametrize(
+    "argv, stem, suffix",
+    [
+        (["preorder", "-P", "3", "-Q", "3"], "preorder_P3_Q3", "json"),
+        (["preorder", "-P", "3", "-Q", "3", "--csv"], "preorder_P3_Q3", "csv"),
+        (["sweep", "-P", "3", "-Q", "3"], "sweep_P3_Q3", "csv"),
+        (["sweep", "-P", "3", "-Q", "3", "--json"], "sweep_P3_Q3", "json"),
+    ],
+)
+def test_grid_commands_match_golden_bytes(argv, stem, suffix, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.encode() == (DATA / f"{stem}.{suffix}").read_bytes()
+    assert captured.err.encode() == (DATA / f"{stem}.stderr").read_bytes()
+
+
+def test_preorder_decides_each_ordered_pair_once(monkeypatch, capsys):
+    preorder = sys.modules["floorcomm.preorder"]
+    calls = []
+
+    def counting_is_member(pair):
+        calls.append(pair)
+        return is_member(pair)
+
+    monkeypatch.setattr(preorder, "is_member", counting_is_member)
+    assert main(["preorder", "-P", "3", "-Q", "3"]) == 0
+    values = json.loads(capsys.readouterr().out)["values"]
+    assert len(calls) == len(values) ** 2 == 196
+    assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("shared_stderr", [False, True], ids=["stderr-apart", "stderr-shared"])
+def test_closed_stdout_is_an_output_error(shared_stderr):
+    # the read end is closed before the child writes, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "floorcomm", "sweep", "-P", "2", "-Q", "2"],
+            stdout=write_end,
+            stderr=write_end if shared_stderr else subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    if not shared_stderr:
+        assert result.stderr.startswith(b"error: ")
+        assert b"Traceback" not in result.stderr and b"Exception ignored" not in result.stderr
 
 
 def test_plot_matches_golden_file(tmp_path):

@@ -99,6 +99,24 @@ def test_spec_validation():
         _spec(samples=1)
 
 
+def test_spec_int_bounds_become_fractions():
+    spec = PlotSpec(-2, 2, -2, 2)
+    bounds = (spec.alpha_min, spec.alpha_max, spec.beta_min, spec.beta_max)
+    assert all(type(bound) is Fraction for bound in bounds)
+    assert spec == _spec()
+    assert render_svg(build_plot_model(spec)) == render_svg(build_plot_model(_spec()))
+    assert all(type(bound) is Fraction for bound in build_plot_model(spec).mixed_region)
+
+
+@pytest.mark.parametrize("bad", [-2.0, 0.5, True, "1/2", None])
+def test_spec_rejects_non_exact_bounds(bad):
+    for bound in ("alpha_min", "alpha_max", "beta_min", "beta_max"):
+        with pytest.raises(TypeError):
+            _spec(**{bound: bad})
+    with pytest.raises(TypeError):
+        PlotSpec(-2.0, 2.0, -2.0, 2.0)
+
+
 def test_svg_structure():
     svg = render_svg(build_plot_model(_spec()))
     assert svg.startswith("<svg ")

@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import signed_grid
-from floorcomm.preorder import audit_transitivity, equivalence_classes, equivalent, precedes
+from floorcomm.preorder import Preorder, audit_transitivity, equivalence_classes, equivalent, precedes
+from reference_preorder import reference_audit_transitivity
 
 
 def test_precedes_examples():
@@ -69,3 +72,34 @@ def test_equivalence_classes_canonical_reps():
     for cls in classes:
         rep = cls[0]
         assert rep == min(cls, key=lambda v: (v.denominator, v.numerator))
+
+
+def test_audit_matches_reference_triple_scan_on_grid():
+    grid = signed_grid(4, 4)
+    assert audit_transitivity(grid) == reference_audit_transitivity(grid, precedes) is None
+
+
+@st.composite
+def relations(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    return draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@given(relations())
+def test_row_inclusion_audit_matches_reference_triple_scan(matrix):
+    values = tuple(range(len(matrix)))
+    rows = tuple(sum(1 << j for j, flag in enumerate(row) if flag) for row in matrix)
+    relation = Preorder(values, rows)
+    assert relation.matrix() == matrix
+    expected = reference_audit_transitivity(values, lambda a, b: matrix[a][b])
+    assert relation.violation() == expected
+
+
+def test_relation_matrix_and_classes_match_pairwise_queries():
+    grid = signed_grid(3, 3)
+    relation = Preorder.on(grid + grid[::-1])
+    assert relation.values == tuple(grid)
+    assert relation.matrix() == [[precedes(a, b) for b in grid] for a in grid]
+    for cls in relation.classes():
+        assert all(equivalent(cls[0], other) for other in cls)
+    assert sorted(v for cls in relation.classes() for v in cls) == sorted(grid)

@@ -13,6 +13,7 @@ from floorcomm.semigroup import (
     sg_contains,
     sylvester_duality_holds,
 )
+from reference_semigroup import reference_sg_contains
 
 
 def test_membership_examples():
@@ -30,6 +31,24 @@ def test_membership_with_unit_generator():
 def test_membership_rejects_negative():
     with pytest.raises(ValueError):
         sg_contains(SemigroupPair(3, 5), -1)
+
+
+def test_membership_matches_reference_scan():
+    for a in range(1, 41):
+        for b in range(1, 41):
+            if gcd(a, b) == 1:
+                sg = SemigroupPair(a, b)
+                for n in range(a * b + 1):
+                    assert sg_contains(sg, n) == reference_sg_contains(sg, n), (a, b, n)
+
+
+def test_membership_at_large_generators():
+    sg = SemigroupPair(10**18 + 1, 10**18 + 3)
+    top = frobenius_number(sg)
+    assert not sg_contains(sg, top)
+    assert sg_contains(sg, top + 1)
+    assert sg_contains(sg, 3 * sg.a + 5 * sg.b)
+    assert not sg_contains(sg, sg.a + sg.b - 1)
 
 
 def test_pair_validation():
