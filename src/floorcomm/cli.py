@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -49,7 +48,7 @@ def witness_to_dict(witness: Witness | None) -> dict[str, Any] | None:
     if witness is None:
         return None
     payload: dict[str, Any] = {"kind": witness.kind}
-    payload.update(dataclasses.asdict(witness))
+    payload.update(vars(witness))  # the fields, in declaration order
     return payload
 
 
@@ -93,7 +92,7 @@ def report_to_dict(report: OracleReport) -> dict[str, Any]:
 def _witness_params(witness: Witness | None, sep: str) -> str:
     if witness is None:
         return ""
-    return sep.join(f"{key}={value}" for key, value in dataclasses.asdict(witness).items())
+    return sep.join(f"{key}={value}" for key, value in vars(witness).items())
 
 
 def _emit(text: str, out: str | None) -> None:

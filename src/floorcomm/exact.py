@@ -37,6 +37,12 @@ def as_rat(x: Rat | int) -> Rat:
     raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
 
 
+def require_int(x: int, name: str) -> None:
+    """Refuse an x that is not an int: bool, float and any other type raise TypeError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"{name} must be an int, got {type(x).__name__}")
+
+
 def rat_floor(x: Rat | int) -> int:
     """Greatest integer <= x."""
     return x.numerator // x.denominator

@@ -3,9 +3,14 @@
 Rendering is split in two: ``build_plot_model`` enumerates the member
 families inside a view box as exact rational geometry (every element keeps
 the integer parameters that produced it), and ``render_svg`` turns the model
-into SVG text.  Coordinates become floats only at the final formatting step,
-at a fixed precision of 6 decimals, so identical specs yield byte-identical
-documents and tests can audit plotted elements without parsing coordinates.
+into SVG text.  Curve samples are computed and clipped to the box as integer
+numerator/denominator pairs; only the kept points become ``Fraction``s.  The
+pixel maps are fixed integer factors per render, so each coordinate costs one
+``int / int`` true division, printed at a fixed precision of 6 decimals.
+Python rounds that division correctly, as ``float(Fraction)`` does, so the
+text equals that of mapping in ``Fraction`` arithmetic: identical specs yield
+byte-identical documents and tests can audit plotted elements without
+parsing coordinates.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exact import Rat, as_rat, format_rat
+from .exact import Rat, as_rat, format_rat, require_int
 
 CURVE_KINDS = ("vertical", "oblique", "pos_hyperbola", "neg_line", "neg_hyperbola")
 
@@ -35,6 +40,8 @@ class PlotSpec:
     def __post_init__(self) -> None:
         for bound in ("alpha_min", "alpha_max", "beta_min", "beta_max"):
             object.__setattr__(self, bound, as_rat(getattr(self, bound)))
+        for count in ("curve_bound", "sporadic_r_bound", "den_bound", "samples"):
+            require_int(getattr(self, count), count)
         if self.alpha_min >= self.alpha_max or self.beta_min >= self.beta_max:
             raise ValueError("empty view box")
         if self.curve_bound < 0 or self.sporadic_r_bound < 1 or self.den_bound < 1:
@@ -86,30 +93,57 @@ class PlotModel:
     sporadics: tuple[SporadicPoint, ...]
 
 
-def _steps(lo: Rat, hi: Rat, count: int) -> list[Rat]:
-    span = hi - lo
-    return [lo + span * j / count for j in range(count + 1)]
-
-
 def _in_box(spec: PlotSpec, point: tuple[Rat, Rat]) -> bool:
     a, b = point
     return spec.alpha_min <= a <= spec.alpha_max and spec.beta_min <= b <= spec.beta_max
 
 
-def _runs_in_box(spec: PlotSpec, points: list[tuple[Rat, Rat]]) -> list[tuple[tuple[Rat, Rat], ...]]:
-    """Maximal in-box runs of at least two points, in sampling order."""
-    runs: list[tuple[tuple[Rat, Rat], ...]] = []
-    current: list[tuple[Rat, Rat]] = []
-    for point in points:
-        if _in_box(spec, point):
-            current.append(point)
-        else:
-            if len(current) >= 2:
-                runs.append(tuple(current))
-            current = []
-    if len(current) >= 2:
-        runs.append(tuple(current))
-    return runs
+class _Samples:
+    """count + 1 equally spaced samples of [lo, hi], kept as integer numerators.
+
+    Sample j is t = lo + (hi - lo)*j/count = (start + step*j)/den with den > 0.
+    Its ``Fraction`` is built the first time a curve keeps it and shared by
+    every curve of the family after that.
+    """
+
+    def __init__(self, lo: Rat, hi: Rat, count: int) -> None:
+        self.den = lo.denominator * hi.denominator * count
+        self.start = lo.numerator * hi.denominator * count
+        self.step = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+        self.count = count
+        self.values: list[Rat | None] = [None] * (count + 1)
+
+    def runs(self, n: int, c: int, other_min: Rat, other_max: Rat) -> list[tuple[tuple[Rat, Rat], ...]]:
+        """Maximal runs of two points or more of t -> (t, t/(n + c*t)) inside the box.
+
+        The other coordinate of sample j is num_j/(n*den + c*num_j).  The
+        caller keeps c*t >= 0, so that denominator is positive and the clip
+        against [other_min, other_max] is two integer cross-multiplications;
+        t itself stays in [lo, hi], which lies inside the box.  Fractions are
+        built only for the points of the runs returned, in sampling order.
+        """
+        den, start, step = self.den, self.start, self.step
+        min_num, min_den = other_min.numerator, other_min.denominator
+        max_num, max_den = other_max.numerator, other_max.denominator
+        runs: list[list[tuple[int, int, int]]] = []
+        current: list[tuple[int, int, int]] = []
+        for j in range(self.count + 1):
+            num = start + step * j
+            other_den = n * den + c * num
+            if min_num * other_den <= num * min_den and num * max_den <= max_num * other_den:
+                current.append((j, num, other_den))
+            else:
+                if len(current) >= 2:
+                    runs.append(current)
+                current = []
+        if len(current) >= 2:
+            runs.append(current)
+        values = self.values
+        for run in runs:
+            for j, num, _ in run:
+                if values[j] is None:
+                    values[j] = Fraction(num, den)
+        return [tuple((values[j], Fraction(num, other_den)) for j, num, other_den in run) for run in runs]
 
 
 def build_plot_model(spec: PlotSpec) -> PlotModel:
@@ -139,26 +173,24 @@ def build_plot_model(spec: PlotSpec) -> PlotModel:
 
     # Positive-quadrant hyperbolas m*alpha*beta + n*alpha = beta, sampled in
     # beta (single-valued, avoids the vertical asymptote at alpha = 1/m).
-    for m in range(1, bound + 1):
-        for n in range(1, bound + 1):
-            b_lo, b_hi = max(spec.beta_min, Fraction(0)), spec.beta_max
-            if b_lo >= b_hi:
-                continue
-            pts = [(b / (n + m * b), b) for b in _steps(b_lo, b_hi, spec.samples)]
-            for run in _runs_in_box(spec, pts):
-                curves.append(Curve("pos_hyperbola", m, n, run))
+    b_lo, b_hi = max(spec.beta_min, Fraction(0)), spec.beta_max
+    if b_lo < b_hi:
+        samples = _Samples(b_lo, b_hi, spec.samples)
+        for m in range(1, bound + 1):
+            for n in range(1, bound + 1):
+                for run in samples.runs(n, m, spec.alpha_min, spec.alpha_max):
+                    curves.append(Curve("pos_hyperbola", m, n, tuple((a, b) for b, a in run)))
 
     # Negative-quadrant curves m*alpha*beta - n*beta = -alpha, i.e.
     # beta = alpha/(n - m*alpha); m = 0 degenerates to the lines beta = alpha/n.
-    for m in range(0, bound + 1):
-        for n in range(1, bound + 1):
-            a_lo, a_hi = spec.alpha_min, min(spec.alpha_max, Fraction(0))
-            if a_lo >= a_hi:
-                continue
-            pts = [(a, a / (n - m * a)) for a in _steps(a_lo, a_hi, spec.samples)]
+    a_lo, a_hi = spec.alpha_min, min(spec.alpha_max, Fraction(0))
+    if a_lo < a_hi:
+        samples = _Samples(a_lo, a_hi, spec.samples)
+        for m in range(0, bound + 1):
             kind = "neg_line" if m == 0 else "neg_hyperbola"
-            for run in _runs_in_box(spec, pts):
-                curves.append(Curve(kind, m, n, run))
+            for n in range(1, bound + 1):
+                for run in samples.runs(n, -m, spec.beta_min, spec.beta_max):
+                    curves.append(Curve(kind, m, n, run))
 
     # Vertical member segments alpha = -q/p, beta in [-1/p, 0); p bounded by
     # den_bound, q only by the view box.
@@ -218,6 +250,25 @@ def _fmt(value: Rat) -> str:
     return f"{float(value):.6f}"
 
 
+def _pixel_map(origin: Rat, span: Rat, pixels: int):
+    """The function v -> _fmt((v - origin) / span * pixels), its factors fixed once.
+
+    (x/d - p/q) / span * pixels is (x*q*k - d*p*k) / (d*q*num(span)) with
+    k = pixels*den(span).  The denominator is positive, so a zero prints as
+    0.000000 and never as -0.000000, and the one correctly rounded
+    ``int / int`` division gives the float that ``float(Fraction)`` gives.
+    """
+    scale = pixels * span.denominator
+    x_factor, d_factor = origin.denominator * scale, origin.numerator * scale
+    den_factor = origin.denominator * span.numerator
+
+    def to_text(value: Rat) -> str:
+        d = value.denominator
+        return f"{(value.numerator * x_factor - d * d_factor) / (d * den_factor):.6f}"
+
+    return to_text
+
+
 def render_svg(model: PlotModel, width: int = 640) -> str:
     """Serialize a plot model as standalone SVG 1.1 text."""
     spec = model.spec
@@ -225,11 +276,9 @@ def render_svg(model: PlotModel, width: int = 640) -> str:
     b_span = spec.beta_max - spec.beta_min
     height = max(1, round(Fraction(width) * b_span / a_span))
 
-    def sx(a: Rat) -> str:
-        return _fmt((a - spec.alpha_min) / a_span * width)
-
-    def sy(b: Rat) -> str:
-        return _fmt((spec.beta_max - b) / b_span * height)
+    sx = _pixel_map(spec.alpha_min, a_span, width)
+    # (beta_max - b) / b_span * height, the y axis pointing down
+    sy = _pixel_map(spec.beta_max, b_span, -height)
 
     groups: dict[str, list[str]] = {name: [] for name in _GROUP_ORDER}
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .exact import require_int
+
 
 @dataclass(frozen=True)
 class SemigroupPair:
@@ -21,6 +23,8 @@ class SemigroupPair:
     b: int
 
     def __post_init__(self) -> None:
+        require_int(self.a, "a")
+        require_int(self.b, "b")
         if self.a < 1 or self.b < 1:
             raise ValueError("generators must be >= 1")
         if gcd(self.a, self.b) != 1:

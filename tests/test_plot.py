@@ -132,3 +132,10 @@ def test_svg_structure():
     ):
         assert f'<g id="{group}">' in svg
     assert 'data-alpha="-2" data-beta="-4/3"' in svg
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, 64.0, 2.5, "2", None, Fraction(2)])
+def test_spec_rejects_non_int_counts(bad):
+    for count in ("curve_bound", "sporadic_r_bound", "den_bound", "samples"):
+        with pytest.raises(TypeError, match=count):
+            _spec(**{count: bad})

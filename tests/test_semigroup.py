@@ -114,3 +114,11 @@ def test_torus_bridge_to_semigroup_membership():
             for b in range(1, 31):
                 avoided = torus_subgroup_avoids(CornerRect(Fraction(s, b), Fraction(t, b)))[0]
                 assert avoided == sg_contains(sg, b), (s, t, b)
+
+
+@pytest.mark.parametrize("bad", [True, 3.0, 1.5, "3", None, Fraction(3)])
+def test_generators_must_be_ints(bad):
+    with pytest.raises(TypeError, match="must be an int"):
+        SemigroupPair(bad, 5)
+    with pytest.raises(TypeError, match="must be an int"):
+        SemigroupPair(4, bad)
