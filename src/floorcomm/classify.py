@@ -22,24 +22,29 @@ witness a scan in increasing m (then n) would meet first:
     sporadic        None at once for beta <= -2/p (every sporadic beta lies
                     in (-2/p, -1/p)); inside that band O(p/G) steps, one
                     congruence in n for every G-th m
+    certificate     a non-member's least violating breakpoint: closed form
+                    for alpha > 0 > beta, else the least k in [1, lcm] of
+                    the two numerators with a residue test, O(lcm) steps
 
 where alpha = a/b or -q/p, beta = c/d or -c/d and alpha/beta = s/t in
 lowest terms.  The positive and hyperbola certificates and the band exit take
 time polynomial in the bit length of the inputs; the in-band sporadic scan is
-still linear in p.  An exhausted search is a proof of non-membership;
-verdicts are cross-checked against the period oracle (directly here for
-non-members, by the test suite for members).
+still linear in p, and the non-member certificate in the lcm of the
+numerators.  The certificate search decides membership on its own, so a
+non-member's verdict carries an x with commutator < 0 checked by one
+commutator call, and no oracle runs here; the period oracle cross-checks
+verdicts in the CLI and the test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import ClassVar, Union
 
 from .exact import Rat, as_rat
-from .floorfn import DilationPair, OracleReport, oracle_verify
+from .floorfn import DilationPair, commutator
 
 
 @dataclass(frozen=True)
@@ -127,9 +132,6 @@ class Verdict:
     member: bool
     witness: Witness | None
     counterexample: Rat | None
-    # the oracle run a non-member's counterexample came from, kept so callers
-    # that also want the report need not run the oracle again
-    report: OracleReport | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -292,21 +294,72 @@ def is_member(pair: DilationPair) -> bool:
     return _witness(pair.alpha, pair.beta) is not None
 
 
+def _least_k(a: int, b: int, c: int, d: int, bar: int) -> int | None:
+    """Least k in [1, lcm(a, c)] with d*((-k*b) % a) - b*((-k*d) % c) > bar, or None.
+
+    Both residues depend only on k mod a and k mod c, so one period of k is
+    exhaustive: O(lcm(a, c)) integer steps.
+    """
+    for k in range(1, lcm(a, c) + 1):
+        if d * (-k * b % a) - b * (-k * d % c) > bar:
+            return k
+    return None
+
+
+def _certificate(alpha: Rat, beta: Rat) -> Rat | None:
+    """The least violating breakpoint x > 0 of a non-member, or None for a member.
+
+    alpha > 0 > beta: x = 1/(2*max(alpha, -beta)) gives floor(alpha*x) = 0
+    and floor(beta*x) = -1, so the commutator is -ceil(alpha).
+
+    alpha = a/b, beta = c/d, both positive: on floor(alpha*x) = n the
+    commutator is least at the left end x = n/alpha.  Grouping n by
+    k = floor(n*beta), the least n of a group, ceil(k/beta), is its best, and
+    it violates iff beta*ceil(k/beta) < alpha*ceil(k/alpha), that is
+    b*((-k*d) % c) < d*((-k*b) % a).  The least such k gives the least
+    violating n.
+
+    alpha = -q/p, beta = -c/d: on ceil(|beta|*x) = j the commutator is least
+    at the right end x = j/|beta|, where it is negative iff
+    j*|alpha| > (ceil(k/|beta|) - 1)*|beta| with k = floor(j*|alpha|) + 1.
+    Some j of the group k - 1 <= j*|alpha| < k passes iff its largest j does,
+    that is d*(q - (-k*p) % q) < p*(c - (-k*d) % c): the test of ``_least_k``
+    with bar d*q - p*c.  The least k gives the least violating j, the least
+    j above the bound, by one floor.
+    """
+    a, b = alpha.numerator, alpha.denominator
+    c, d = beta.numerator, beta.denominator
+    if a > 0 > c:
+        return Fraction(b, 2 * a) if a * d >= -c * b else Fraction(d, -2 * c)
+    if a > 0 and c > 0:
+        k = _least_k(a, b, c, d, 0)
+        return None if k is None else Fraction(-(-k * d // c) * b, a)
+    if a < 0 and c < 0:
+        q, p, c = -a, b, -c
+        k = _least_k(q, p, c, d, d * q - p * c)
+        if k is None:
+            return None
+        j = (-(-k * d // c) - 1) * c * p // (d * q) + 1
+        return Fraction(j * d, c)
+    return None
+
+
 def classify(pair: DilationPair) -> Verdict:
     """Full verdict: membership plus a witness or an explicit violating point.
 
-    Non-member verdicts always carry a counterexample x with commutator < 0,
-    taken from the oracle's argmin, and the oracle report it came from; if
-    the oracle were ever to disagree with an exhausted witness search, that
-    is a bug and raises.
+    A member carries its family witness.  A non-member carries the least
+    violating breakpoint of ``_certificate``, checked with one commutator
+    call; the oracle is not run.  The two searches decide membership
+    independently, so a non-member without a certificate, or a certificate
+    whose commutator is not negative, is a bug and raises RuntimeError.
     """
     witness = _witness(pair.alpha, pair.beta)
     if witness is not None:
         return Verdict(pair, True, witness, None)
-    report = oracle_verify(pair)
-    if report.min_value >= 0:
-        raise RuntimeError(f"witness search found nothing but the oracle accepts {pair}")
-    return Verdict(pair, False, None, report.argmin, report)
+    x = _certificate(pair.alpha, pair.beta)
+    if x is None or commutator(pair, x) >= 0:
+        raise RuntimeError(f"witness search found nothing but no certificate checks out for {pair}")
+    return Verdict(pair, False, None, x)
 
 
 def to_munu(alpha: Rat, beta: Rat) -> MuNu:

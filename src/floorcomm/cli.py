@@ -15,6 +15,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
@@ -28,6 +29,7 @@ from .classify import (
     PositiveLinear,
     Verdict,
     Witness,
+    _witness,
     classify,
 )
 from .exact import Rat, format_rat, parse_rat
@@ -114,10 +116,14 @@ def _emit_csv(rows: Iterable[Sequence[Any]], out: str | None) -> None:
 def cmd_classify(args: argparse.Namespace) -> int:
     pair = DilationPair(args.alpha, args.beta)
     verdict = classify(pair)
-    payload = verdict_to_dict(verdict)
     report = None
     if not args.no_oracle:
-        report = verdict.report or oracle_verify(pair)
+        report = oracle_verify(pair)
+        if not (verdict.member or report.member):
+            # with the oracle on, a non-member's counterexample is its argmin
+            verdict = replace(verdict, counterexample=report.argmin)
+    payload = verdict_to_dict(verdict)
+    if report is not None:
         payload["oracle"] = report_to_dict(report) | {"agrees": report.member == verdict.member}
     if args.fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -191,16 +197,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for beta in values:
             if not in_quadrant(alpha, beta):
                 continue
-            pair = DilationPair(alpha, beta)
-            verdict = classify(pair)
-            report = verdict.report or oracle_verify(pair)
-            agree = verdict.member == report.member
-            members += verdict.member
+            # no counterexample column, so the sweep needs the witness and not a Verdict
+            witness = _witness(alpha, beta)
+            member = witness is not None
+            report = oracle_verify(DilationPair(alpha, beta))
+            agree = member == report.member
+            members += member
             disagreements += not agree
-            witness = verdict.witness
             kind = "" if witness is None else witness.kind
             params = _witness_params(witness, ";")
-            rows.append((format_rat(alpha), format_rat(beta), verdict.member, kind, params, report.min_value, agree))
+            rows.append((format_rat(alpha), format_rat(beta), member, kind, params, report.min_value, agree))
     summary = {"pairs": len(rows), "members": members, "disagreements": disagreements}
     if args.fmt == "json":
         payload = {"rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows], "summary": summary}

@@ -69,9 +69,16 @@ def dilated_floor(alpha: Rat, x: Rat | int) -> int:
 
 
 def commutator(pair: DilationPair, x: Rat | int) -> int:
-    """floor(alpha*floor(beta*x)) - floor(beta*floor(alpha*x)), exactly."""
-    alpha, beta = pair.alpha, pair.beta
-    return rat_floor(alpha * dilated_floor(beta, x)) - rat_floor(beta * dilated_floor(alpha, x))
+    """floor(alpha*floor(beta*x)) - floor(beta*floor(alpha*x)), exactly.
+
+    With alpha = a/b, beta = c/d and x = N/M (positive denominators) the
+    inner floors are (c*N)//(d*M) and (a*N)//(b*M), so four integer floor
+    divisions give the value and no Fraction is built.
+    """
+    a, b = pair.alpha.numerator, pair.alpha.denominator
+    c, d = pair.beta.numerator, pair.beta.denominator
+    n, m = x.numerator, x.denominator
+    return (a * ((c * n) // (d * m))) // b - (c * ((a * n) // (b * m))) // d
 
 
 def lower_round(alpha: Rat | int, x: Rat | int) -> Rat:

@@ -270,7 +270,10 @@ def _pixel_map(origin: Rat, span: Rat, pixels: int):
 
 
 def render_svg(model: PlotModel, width: int = 640) -> str:
-    """Serialize a plot model as standalone SVG 1.1 text."""
+    """Serialize a plot model as standalone SVG 1.1 text; width is an int >= 1."""
+    require_int(width, "width")
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
     spec = model.spec
     a_span = spec.alpha_max - spec.alpha_min
     b_span = spec.beta_max - spec.beta_min

@@ -7,9 +7,13 @@ positive line.  They walk every candidate in order, so the first hit
 defines the tie-breaks the closed forms must reproduce.  Their cost is linear
 (positive line, hyperbola) or quadratic (sporadic) in the denominators, so
 the differential tests only call them on small inputs.
+
+``reference_least_violation`` is the brute-force counterpart of the
+non-member certificate: the first violating breakpoint of a period scan.
 """
 
 from fractions import Fraction
+from math import floor
 
 from floorcomm.classify import NegHyperbola, NegSporadic, NegVertical, PositiveLinear
 from floorcomm.exact import rat_floor
@@ -64,4 +68,29 @@ def reference_disjointness_witness(u: Fraction, v: Fraction) -> tuple[int, int] 
         n = v * (1 - Fraction(m) / u)
         if n.denominator == 1 and (m > 0 or n > 0):
             return m, int(n)
+    return None
+
+
+def fraction_commutator(alpha: Fraction, beta: Fraction, x: Fraction) -> int:
+    """The defining formula, with Fraction products."""
+    return floor(alpha * floor(beta * x)) - floor(beta * floor(alpha * x))
+
+
+def reference_least_violation(alpha: Fraction, beta: Fraction) -> Fraction | None:
+    """Least violating x among n/alpha (alpha, beta > 0) or j/|beta| (both < 0) in one period.
+
+    A plain scan in ``Fraction`` arithmetic over every breakpoint of the one
+    progression on which each quadrant's commutator attains its least values,
+    up to the period alpha.denominator * beta.denominator.
+    """
+    if alpha > 0 and beta > 0:
+        step = 1 / alpha
+    elif alpha < 0 and beta < 0:
+        step = -1 / beta
+    else:
+        raise ValueError("dilation factors must share a sign")
+    period = alpha.denominator * beta.denominator
+    for i in range(1, floor(period / step) + 1):
+        if fraction_commutator(alpha, beta, i * step) < 0:
+            return i * step
     return None

@@ -1,5 +1,7 @@
 """Classification verdicts, witness searches, transforms, and symmetries."""
 
+import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -132,14 +134,21 @@ def test_classify_verdicts_are_certified():
         assert commutator(verdict.pair, verdict.counterexample) < 0
 
 
-def test_verdict_carries_the_oracle_report_outside_equality_and_repr():
+def test_classify_is_decided_without_the_oracle():
+    module = sys.modules["floorcomm.classify"]
+    assert not hasattr(module, "oracle_verify")
+    assert [f.name for f in fields(Verdict)] == ["pair", "member", "witness", "counterexample"]
     pair = DilationPair(Fraction(2, 3), Fraction(1, 2))
-    verdict = classify(pair)
-    assert verdict.report == oracle_verify(pair)
-    assert verdict.counterexample == verdict.report.argmin
-    bare = Verdict(pair, False, None, verdict.counterexample)
-    assert verdict == bare and repr(verdict) == repr(bare)
-    assert classify(DilationPair(Fraction(1, 3), Fraction(1, 2))).report is None
+    assert classify(pair) == Verdict(pair, False, None, Fraction(3))
+
+
+def test_classify_raises_when_no_certificate_checks_out(monkeypatch):
+    module = sys.modules["floorcomm.classify"]
+    pair = DilationPair(Fraction(2, 3), Fraction(1, 2))
+    for bogus in (None, Fraction(1, 2)):  # no certificate, or one with commutator 0
+        monkeypatch.setattr(module, "_certificate", lambda alpha, beta: bogus)
+        with pytest.raises(RuntimeError):
+            classify(pair)
 
 
 def test_diagonal_family_members():

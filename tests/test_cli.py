@@ -69,14 +69,21 @@ def test_classify_plain_format(capsys):
 def test_verdict_json_round_trip(capsys):
     for alpha, beta in [("1/3", "1/2"), ("-3/2", "-3/4"), ("2/3", "1/2"), ("0", "5/3"), ("-2", "-5/3")]:
         capsys.readouterr()
-        main(["classify", alpha, beta])
+        main(["classify", alpha, beta, "--no-oracle"])
         payload = json.loads(capsys.readouterr().out)
         pair = DilationPair(Fraction(alpha), Fraction(beta))
         assert verdict_from_dict(payload) == classify(pair)
         # and the dict encoding itself round-trips exactly
-        assert verdict_to_dict(verdict_from_dict(payload)) == {
-            key: payload[key] for key in ("alpha", "beta", "member", "witness", "counterexample")
-        }
+        assert verdict_to_dict(verdict_from_dict(payload)) == payload
+        # with the oracle on, the counterexample is the oracle's argmin
+        main(["classify", alpha, beta])
+        default = json.loads(capsys.readouterr().out)
+        if default["member"]:
+            assert default["counterexample"] is None
+        else:
+            assert default["counterexample"] == default["oracle"]["argmin"]
+    # the certificate and the argmin differ here
+    assert payload["counterexample"] == "3/5" and default["counterexample"] == "11/20"
 
 
 def test_verify_reports_oracle(capsys):
@@ -104,14 +111,14 @@ def test_sweep_csv_contract(capsys, tmp_path):
 
 @pytest.fixture
 def oracle_calls(monkeypatch):
-    """Every pair the oracle is run on, whether by the CLI or inside classify."""
+    """Every pair the oracle is run on, through floorcomm.floorfn or by the CLI."""
     calls = []
 
     def counting_oracle(pair):
         calls.append(pair)
         return oracle_verify(pair)
 
-    for module in ("floorcomm.classify", "floorcomm.cli"):
+    for module in ("floorcomm.floorfn", "floorcomm.cli"):
         monkeypatch.setattr(sys.modules[module], "oracle_verify", counting_oracle)
     return calls
 
@@ -124,11 +131,16 @@ def test_sweep_runs_the_oracle_once_per_pair(oracle_calls, capsys):
 
 
 def test_classify_runs_the_oracle_once(oracle_calls, capsys):
-    for alpha, beta in [("2/3", "1/2"), ("1/3", "1/2")]:
+    for alpha, beta in [("2/3", "1/2"), ("1/3", "1/2"), ("-2", "-5/3"), ("3/7", "-2")]:
         oracle_calls.clear()
         main(["classify", alpha, beta])
         assert len(oracle_calls) == 1
         assert json.loads(capsys.readouterr().out)["oracle"]["agrees"] is True
+        main(["classify", alpha, beta, "--no-oracle"])
+        assert len(oracle_calls) == 1
+        assert "oracle" not in json.loads(capsys.readouterr().out)
+        classify(DilationPair(Fraction(alpha), Fraction(beta)))
+        assert len(oracle_calls) == 1
 
 
 def test_sweep_negative_positive_quadrant_all_members(tmp_path):
@@ -270,6 +282,14 @@ def test_plot_deterministic(tmp_path):
 def test_plot_empty_viewbox_is_usage_error(capsys):
     assert main(["plot", "--viewbox", "1", "1", "0", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", ["-5", "0"])
+def test_plot_width_below_one_is_usage_error(width, capsys):
+    assert main(["plot", "--width", width]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: width must be >= 1, got {width}\n"
 
 
 def test_plot_unwritable_output(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import positive_grid
+from conftest import positive_grid, signed_grid
 from floorcomm.exact import rat_floor
 from floorcomm.floorfn import (
     DilationPair,
@@ -19,6 +19,7 @@ from floorcomm.floorfn import (
     rounding_order,
     upper_round,
 )
+from reference_search import fraction_commutator
 
 nonzero = st.builds(
     Fraction, st.integers(-9, 9).filter(lambda n: n != 0), st.integers(1, 9)
@@ -37,6 +38,26 @@ def test_commutator_examples():
     for x in (Fraction(0), Fraction(1, 6), Fraction(5), Fraction(-7, 3)):
         assert commutator(commuting, x) == 0
     assert commutator(DilationPair(Fraction(1), Fraction(-1)), Fraction(-1, 2)) == -1
+
+
+def test_integer_commutator_matches_fraction_formula_on_grid():
+    rng = random.Random(8)
+    xs = [Fraction(rng.randint(-300, 300), rng.randint(1, 30)) for _ in range(48)] + [Fraction(0), Fraction(-1)]
+    grid = signed_grid(6, 4, include_zero=True)
+    for alpha in grid:
+        for beta in grid:
+            pair = DilationPair(alpha, beta)
+            for x in xs:
+                assert commutator(pair, x) == fraction_commutator(alpha, beta, x), (alpha, beta, x)
+    assert commutator(DilationPair(Fraction(2, 3), Fraction(1, 2)), 3) == -1  # an int x
+
+
+wide = st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**12))
+
+
+@given(wide, wide, wide)
+def test_integer_commutator_matches_fraction_formula(alpha, beta, x):
+    assert commutator(DilationPair(alpha, beta), x) == fraction_commutator(alpha, beta, x)
 
 
 @given(nonzero, points)

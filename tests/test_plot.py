@@ -139,3 +139,14 @@ def test_spec_rejects_non_int_counts(bad):
     for count in ("curve_bound", "sporadic_r_bound", "den_bound", "samples"):
         with pytest.raises(TypeError, match=count):
             _spec(**{count: bad})
+
+
+def test_render_svg_refuses_widths_that_are_not_ints_of_at_least_one():
+    model = build_plot_model(_spec(curve_bound=0))
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="width"):
+            render_svg(model, width=bad)
+    for bad in (True, 640.0, "640", Fraction(640)):
+        with pytest.raises(TypeError, match="width"):
+            render_svg(model, width=bad)
+    assert 'width="1"' in render_svg(model, width=1)
