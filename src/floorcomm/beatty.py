@@ -11,7 +11,7 @@ of u lands in [m, m+1) (resp. strictly inside (m, m+1)).  Membership in the
 reduced set depends only on m mod num(u), which makes disjointness of two
 reduced sets decidable on one window of length lcm of the numerators.
 
-Parameters are ints or Fractions; float and bool raise TypeError.
+Parameters are ints or Fractions, m is an int; float and bool raise TypeError.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import lcm
 
 from .classify import positive_witness
-from .exact import Rat, as_rat
+from .exact import Rat, as_rat, require_int
 
 
 def _require_positive(u: Rat | int) -> Rat:
@@ -31,6 +31,7 @@ def _require_positive(u: Rat | int) -> Rat:
 
 def beatty_pos_contains(u: Rat | int, m: int) -> bool:
     """True iff floor(n*u) = m for some integer n >= 1."""
+    require_int(m, "m")
     u = _require_positive(u)
     p, q = u.numerator, u.denominator
     n0 = max(1, -((-m * q) // p))  # least n >= 1 with n*u >= m
@@ -39,6 +40,7 @@ def beatty_pos_contains(u: Rat | int, m: int) -> bool:
 
 def beatty_contains(u: Rat | int, m: int) -> bool:
     """True iff floor(n*u) = m for some integer n."""
+    require_int(m, "m")
     u = _require_positive(u)
     p, q = u.numerator, u.denominator
     n0 = -((-m * q) // p)  # least n with n*u >= m
@@ -50,6 +52,8 @@ def reduced_contains(u: Rat | int, m: int) -> bool:
 
     Equivalently: some integer multiple of u lies strictly inside (m, m+1).
     """
+    if type(m) is not int:  # one type test on the window scan's path
+        require_int(m, "m")
     u = _require_positive(u)
     p, q = u.numerator, u.denominator
     n0 = (m * q) // p + 1  # least n with n*u > m

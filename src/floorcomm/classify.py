@@ -17,14 +17,15 @@ denominators, so the searches run in integer arithmetic and return the
 witness a scan in increasing m (then n) would meet first:
 
     positive line   least m of m*(a*t) = b*t (mod s*b), one modular inverse
-    hyperbola       least m of m*(q*t) = s*p (mod p*t), one modular inverse
+    hyperbola       the positive line at (-beta, -alpha), n >= 1
     vertical        the test c*p <= d
     sporadic        None at once for beta <= -2/p (every sporadic beta lies
                     in (-2/p, -1/p)); inside that band O(p/G) steps, one
                     congruence in n for every G-th m
     certificate     a non-member's least violating breakpoint: closed form
                     for alpha > 0 > beta, else the least k in [1, lcm] of
-                    the two numerators with a residue test, O(lcm) steps
+                    the two numerators with a residue test, O(lcm) steps;
+                    the scan is ``integer_rounding_check``'s
 
 where alpha = a/b or -q/p, beta = c/d or -c/d and alpha/beta = s/t in
 lowest terms.  The positive and hyperbola certificates and the band exit take
@@ -40,11 +41,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import ClassVar, Union
 
-from .exact import Rat, as_rat
-from .floorfn import DilationPair, commutator
+from .exact import Rat, as_rat, require_int
+from .floorfn import DilationPair, _least_k, commutator
 
 
 @dataclass(frozen=True)
@@ -178,39 +179,37 @@ class SigmaTau:
             raise ValueError("sigma, tau must be positive")
 
 
-def _least_solution(coeff: int, rhs: int, modulus: int) -> int | None:
-    """Least m >= 0 with m*coeff = rhs (mod modulus), or None if there is none.
+def _positive_line(a: int, b: int, c: int, d: int) -> tuple[int, int] | None:
+    """Least-m solution (m, n) of m*alpha*beta + n*alpha = beta with m, n >= 0.
 
-    With g = gcd(coeff, modulus) the congruence is solvable iff g | rhs, and
-    then m = (rhs/g) * (coeff/g)^-1 mod (modulus/g): O(log modulus) steps.
+    With alpha = a/b, beta = c/d > 0 and alpha/beta = s/t in lowest terms the
+    equation reads m*a*t + n*s*b = b*t, so n = (b*t - m*a*t)/(s*b) is an
+    integer exactly when m*(a*t) = b*t (mod s*b).  With g = gcd(a*t, s*b) that
+    is solvable iff g | b*t, and then its least m >= 0 is one modular inverse:
+    (b*t/g) * (a*t/g)^-1 mod (s*b/g).  n decreases in m, so if it is negative
+    there, no m works.  n is unique given m and (0, 0) never solves, so this
+    is the smallest-m solution of a scan over m = 0, 1, ..., floor(1/alpha),
+    found in O(log) steps.
     """
-    g = gcd(coeff, modulus)
-    if rhs % g:
+    s, t = a * d, b * c
+    g = gcd(s, t)
+    s, t = s // g, t // g
+    g = gcd(a * t, s * b)
+    if b * t % g:
         return None
-    modulus //= g
-    return rhs // g * pow(coeff // g, -1, modulus) % modulus
+    mod = s * b // g
+    m = b * t // g * pow(a * t // g, -1, mod) % mod
+    if m * a > b:  # n < 0
+        return None
+    return m, (b * t - m * a * t) // (s * b)
 
 
 def positive_witness(alpha: Rat, beta: Rat) -> PositiveLinear | None:
-    """Least-m solution of m*alpha*beta + n*alpha = beta with m, n >= 0.
-
-    With alpha = a/b and alpha/beta = s/t in lowest terms the equation reads
-    m*a*t + n*s*b = b*t, so n = (b*t - m*a*t)/(s*b) is an integer exactly when
-    m*(a*t) = b*t (mod s*b).  The least such m >= 0 comes from one modular
-    inverse; n decreases in m, so if it is negative there, no m works.  n is
-    unique given m and (0, 0) never solves, so this is the smallest-m witness
-    of a scan over m = 0, 1, ..., floor(1/alpha), found in O(log) steps.
-    """
+    """Least-m solution of m*alpha*beta + n*alpha = beta with m, n >= 0 (``_positive_line``)."""
     if alpha <= 0 or beta <= 0:
         raise ValueError("dilation factors must be positive")
-    a, b = alpha.numerator, alpha.denominator
-    s, t = a * beta.denominator, b * beta.numerator
-    g = gcd(s, t)
-    s, t = s // g, t // g
-    m = _least_solution(a * t, b * t, s * b)
-    if m is None or m * a > b:  # n < 0
-        return None
-    return PositiveLinear(m, (b * t - m * a * t) // (s * b))
+    mn = _positive_line(alpha.numerator, alpha.denominator, beta.numerator, beta.denominator)
+    return None if mn is None else PositiveLinear(*mn)
 
 
 def negative_witness(alpha: Rat, beta: Rat) -> NegHyperbola | NegVertical | NegSporadic | None:
@@ -218,10 +217,10 @@ def negative_witness(alpha: Rat, beta: Rat) -> NegHyperbola | NegVertical | NegS
 
     Write alpha = -q/p and beta = -c/d in lowest terms.
 
-    Hyperbola: with alpha/beta = s/t, n = m*alpha + alpha/beta =
-    (s*p - m*q*t)/(p*t) is an integer exactly when m*(q*t) = s*p (mod p*t).
-    The least such m >= 0 is the smallest-m witness if n >= 1 there; n
-    decreases in m, so otherwise there is none.  O(log) steps.
+    Hyperbola: m*alpha*beta - n*beta = -alpha is m*(c/d)*(q/p) + n*(c/d) =
+    q/p, the positive line at (c/d, q/p) = (-beta, -alpha).  n decreases in
+    m, so the line's least-m solution is a witness iff its n is >= 1, and
+    then it is the smallest-m one.  O(log) steps.
     Vertical: alpha = -q/p is forced by lowest terms, leaving -1/p <= beta,
     that is c*p <= d.
     Sporadic: see ``_sporadic_witness``.
@@ -230,12 +229,9 @@ def negative_witness(alpha: Rat, beta: Rat) -> NegHyperbola | NegVertical | NegS
         raise ValueError("dilation factors must be negative")
     q, p = -alpha.numerator, alpha.denominator
     c, d = -beta.numerator, beta.denominator
-    s, t = q * d, p * c
-    g = gcd(s, t)
-    s, t = s // g, t // g
-    m = _least_solution(q * t, s * p, p * t)
-    if m is not None and s * p - m * q * t >= p * t:  # n >= 1
-        return NegHyperbola(m, (s * p - m * q * t) // (p * t))
+    mn = _positive_line(c, d, q, p)
+    if mn is not None and mn[1] >= 1:
+        return NegHyperbola(*mn)
     if c * p <= d:
         return NegVertical(p, q)
     return _sporadic_witness(p, q, c, d)
@@ -292,18 +288,6 @@ def _witness(alpha: Rat, beta: Rat) -> Witness | None:
 def is_member(pair: DilationPair) -> bool:
     """Membership by sign dispatch and witness search, without the oracle."""
     return _witness(pair.alpha, pair.beta) is not None
-
-
-def _least_k(a: int, b: int, c: int, d: int, bar: int) -> int | None:
-    """Least k in [1, lcm(a, c)] with d*((-k*b) % a) - b*((-k*d) % c) > bar, or None.
-
-    Both residues depend only on k mod a and k mod c, so one period of k is
-    exhaustive: O(lcm(a, c)) integer steps.
-    """
-    for k in range(1, lcm(a, c) + 1):
-        if d * (-k * b % a) - b * (-k * d % c) > bar:
-            return k
-    return None
 
 
 def _certificate(alpha: Rat, beta: Rat) -> Rat | None:
@@ -396,6 +380,7 @@ def _require_positive_pair(pair: DilationPair) -> None:
 def symmetry_scale_second(pair: DilationPair, k: int) -> DilationPair:
     """(alpha, beta) -> (alpha, k*beta), k >= 1; maps members to members."""
     _require_positive_pair(pair)
+    require_int(k, "k")
     if k < 1:
         raise ValueError("k must be a positive integer")
     return DilationPair(pair.alpha, k * pair.beta)
@@ -404,6 +389,7 @@ def symmetry_scale_second(pair: DilationPair, k: int) -> DilationPair:
 def symmetry_shrink(pair: DilationPair, k: int) -> DilationPair:
     """(alpha, beta) -> (alpha/k, beta/k), k >= 1; maps members to members."""
     _require_positive_pair(pair)
+    require_int(k, "k")
     if k < 1:
         raise ValueError("k must be a positive integer")
     return DilationPair(pair.alpha / k, pair.beta / k)

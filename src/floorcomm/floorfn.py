@@ -63,9 +63,9 @@ class OracleReport:
         return self.min_value >= 0
 
 
-def dilated_floor(alpha: Rat, x: Rat | int) -> int:
-    """floor(alpha * x)."""
-    return rat_floor(alpha * x)
+def dilated_floor(alpha: Rat | int, x: Rat | int) -> int:
+    """floor(alpha * x); float and bool raise TypeError."""
+    return rat_floor(as_rat(alpha) * as_rat(x))
 
 
 def commutator(pair: DilationPair, x: Rat | int) -> int:
@@ -73,10 +73,11 @@ def commutator(pair: DilationPair, x: Rat | int) -> int:
 
     With alpha = a/b, beta = c/d and x = N/M (positive denominators) the
     inner floors are (c*N)//(d*M) and (a*N)//(b*M), so four integer floor
-    divisions give the value and no Fraction is built.
+    divisions give the value; a float or bool x raises TypeError.
     """
     a, b = pair.alpha.numerator, pair.alpha.denominator
     c, d = pair.beta.numerator, pair.beta.denominator
+    x = as_rat(x)
     n, m = x.numerator, x.denominator
     return (a * ((c * n) // (d * m))) // b - (c * ((a * n) // (b * m))) // d
 
@@ -171,24 +172,32 @@ def oracle_verify(pair: DilationPair) -> OracleReport:
     )
 
 
+def _least_k(a: int, b: int, c: int, d: int, bar: int) -> int | None:
+    """Least k in [1, lcm(a, c)] with d*((-k*b) % a) - b*((-k*d) % c) > bar, or None.
+
+    Both residues depend only on k mod a and k mod c, so one period of k is
+    exhaustive: O(lcm(a, c)) integer steps.
+    """
+    for k in range(1, lcm(a, c) + 1):
+        if d * (-k * b % a) - b * (-k * d % c) > bar:
+            return k
+    return None
+
+
 def integer_rounding_check(alpha: Rat | int, beta: Rat | int) -> tuple[bool, int | None]:
     """Decide upper_round(alpha, n) <= upper_round(beta, n) for every integer n.
 
-    Both sides shift by num(alpha) resp. num(beta) when n shifts by the same
-    amount, so scanning n in [0, lcm(num(alpha), num(beta))) is exhaustive.
-    Returns (True, None), or (False, n) with the least violating n >= 0.
+    With alpha = a1/b1 and beta = a2/b2, (-n*b1) % a1 = b1*(upper_round(alpha,
+    n) - n), so the ``_least_k`` test with bar 0 is upper_round(alpha, n) >
+    upper_round(beta, n).  It never holds at n = 0 or n = lcm(a1, a2), so the
+    least k of that scan is the least violating n >= 0.  Returns (True, None)
+    or (False, n).
     """
     alpha, beta = as_rat(alpha), as_rat(beta)
     if alpha <= 0 or beta <= 0:
         raise ValueError("dilation factors must be positive")
-    a1, b1 = alpha.numerator, alpha.denominator
-    a2, b2 = beta.numerator, beta.denominator
-    for n in range(lcm(a1, a2)):
-        lhs = a1 * (-((-n * b1) // a1))  # upper_round(alpha, n), times b1
-        rhs = a2 * (-((-n * b2) // a2))
-        if lhs * b2 > rhs * b1:
-            return False, n
-    return True, None
+    k = _least_k(alpha.numerator, alpha.denominator, beta.numerator, beta.denominator, 0)
+    return (True, None) if k is None else (False, k)
 
 
 def rounding_order(alpha: Rat | int, beta: Rat | int) -> bool:

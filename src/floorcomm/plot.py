@@ -21,8 +21,6 @@ from math import gcd
 
 from .exact import Rat, as_rat, format_rat, require_int
 
-CURVE_KINDS = ("vertical", "oblique", "pos_hyperbola", "neg_line", "neg_hyperbola")
-
 
 @dataclass(frozen=True)
 class PlotSpec:

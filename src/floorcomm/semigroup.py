@@ -32,7 +32,9 @@ class SemigroupPair:
 
 
 def sg_contains(sg: SemigroupPair, n: int) -> bool:
-    """True iff n = i*a + j*b for some integers i, j >= 0."""
+    """True iff n = i*a + j*b for some integers i, j >= 0; n must be an int."""
+    if type(n) is not int:
+        require_int(n, "n")
     if n < 0:
         raise ValueError("membership is defined on nonnegative integers")
     if sg.a == 1 or sg.b == 1:

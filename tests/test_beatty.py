@@ -100,6 +100,14 @@ def test_int_parameters_work_and_float_and_bool_are_rejected():
                 fn(bad, 1)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", Fraction(2)])
+def test_membership_index_must_be_int(bad):
+    for fn in (beatty_pos_contains, beatty_contains, reduced_contains):
+        assert isinstance(fn(Fraction(5, 2), 2), bool)
+        with pytest.raises(TypeError, match="m must be an int"):
+            fn(Fraction(5, 2), bad)
+
+
 def test_reduced_disjoint_rejects_nonpositive():
     with pytest.raises(ValueError):
         reduced_disjoint(Fraction(0), Fraction(1, 2))

@@ -194,6 +194,14 @@ def test_symmetry_examples():
     assert is_member(birational(base))
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, 1.5, "2", Fraction(2)])
+def test_symmetry_factor_must_be_int(bad):
+    base = DilationPair(Fraction(1, 3), Fraction(1, 2))
+    for symmetry in (symmetry_scale_second, symmetry_shrink):
+        with pytest.raises(TypeError, match="k must be an int"):
+            symmetry(base, bad)
+
+
 def test_symmetry_statement_discrepancy_witness():
     # scaling the first coordinate is NOT a symmetry: the correct map scales
     # the second coordinate

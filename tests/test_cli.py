@@ -10,12 +10,16 @@ from pathlib import Path
 
 import pytest
 
+import floorcomm
 from floorcomm.classify import classify, is_member
 from floorcomm.cli import main, verdict_from_dict, verdict_to_dict
 from floorcomm.floorfn import DilationPair, oracle_verify
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "plot_M2_D2_R2.svg"
+# `python -m floorcomm` run from here imports the package under test, with or
+# without PYTHONPATH set
+IMPORT_ROOT = Path(floorcomm.__file__).parents[1]
 
 
 def test_classify_member_exit_code_and_json(capsys):
@@ -256,6 +260,7 @@ def test_closed_stdout_is_an_output_error(shared_stderr):
             [sys.executable, "-m", "floorcomm", "sweep", "-P", "2", "-Q", "2"],
             stdout=write_end,
             stderr=write_end if shared_stderr else subprocess.PIPE,
+            cwd=IMPORT_ROOT,
         )
     finally:
         os.close(write_end)
@@ -302,6 +307,7 @@ def test_module_entry_point_smoke():
         [sys.executable, "-m", "floorcomm", "classify", "1/3", "1/2", "--no-oracle"],
         capture_output=True,
         text=True,
+        cwd=IMPORT_ROOT,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["member"] is True

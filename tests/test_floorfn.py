@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,18 @@ def test_dilated_floor_examples():
     assert dilated_floor(Fraction(1, 2), Fraction(3)) == 1
     assert dilated_floor(Fraction(-3, 2), Fraction(1, 3)) == -1
     assert dilated_floor(Fraction(0), Fraction(17, 5)) == 0
+
+
+@pytest.mark.parametrize("bad", [True, False, 3.5, 3.0, "3"])
+def test_dilated_floor_and_commutator_reject_float_and_bool(bad):
+    pair = DilationPair(Fraction(2, 3), Fraction(1, 2))
+    assert dilated_floor(2, 3) == 6 and commutator(pair, 3) == -1
+    with pytest.raises(TypeError):
+        dilated_floor(bad, Fraction(7, 2))
+    with pytest.raises(TypeError):
+        dilated_floor(Fraction(7, 2), bad)
+    with pytest.raises(TypeError):
+        commutator(pair, bad)
 
 
 def test_commutator_examples():
@@ -196,13 +209,26 @@ def test_integer_rounding_check_rejects_nonpositive():
         integer_rounding_check(Fraction(1, 2), Fraction(0))
 
 
+def _least_rounding_violation(alpha: Fraction, beta: Fraction) -> int | None:
+    # both upper roundings shift by their numerators as n does, so one lcm of
+    # the numerators is a full period
+    for n in range(lcm(alpha.numerator, beta.numerator)):
+        if upper_round(alpha, n) > upper_round(beta, n):
+            return n
+    return None
+
+
 def test_rounding_check_counterexample_is_least():
-    ok, witness = integer_rounding_check(Fraction(5, 3), Fraction(7, 2))
-    if not ok:
-        assert witness is not None
-        for n in range(witness):
-            assert upper_round(Fraction(5, 3), n) <= upper_round(Fraction(7, 2), n)
-        assert upper_round(Fraction(5, 3), witness) > upper_round(Fraction(7, 2), witness)
+    grid = positive_grid(8, 8)
+    verdicts = set()
+    for alpha in grid:
+        for beta in grid:
+            least = _least_rounding_violation(alpha, beta)
+            expected = (True, None) if least is None else (False, least)
+            assert integer_rounding_check(alpha, beta) == expected, (alpha, beta)
+            verdicts.add(expected[0])
+    assert verdicts == {True, False}
+    assert integer_rounding_check(Fraction(5, 3), Fraction(7, 2)) == (False, 7)
 
 
 def test_rounding_check_matches_oracle_on_grid():

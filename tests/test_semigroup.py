@@ -116,6 +116,13 @@ def test_torus_bridge_to_semigroup_membership():
                 assert avoided == sg_contains(sg, b), (s, t, b)
 
 
+@pytest.mark.parametrize("bad", [True, 3.0, 2.5, "3", None, Fraction(3)])
+def test_membership_argument_must_be_int(bad):
+    for sg in (SemigroupPair(3, 5), SemigroupPair(1, 4)):
+        with pytest.raises(TypeError, match="n must be an int"):
+            sg_contains(sg, bad)
+
+
 @pytest.mark.parametrize("bad", [True, 3.0, 1.5, "3", None, Fraction(3)])
 def test_generators_must_be_ints(bad):
     with pytest.raises(TypeError, match="must be an int"):
