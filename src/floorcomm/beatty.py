@@ -24,7 +24,7 @@ from .exact import Rat, as_rat, require_int
 
 def _require_positive(u: Rat | int) -> Rat:
     u = as_rat(u)
-    if u <= 0:
+    if u.numerator <= 0:
         raise ValueError("Beatty parameter must be positive")
     return u
 

@@ -153,7 +153,7 @@ class MuNu:
         if type(self.mu) is not Fraction or type(self.nu) is not Fraction:
             object.__setattr__(self, "mu", as_rat(self.mu))
             object.__setattr__(self, "nu", as_rat(self.nu))
-        if self.mu <= 0 or self.nu <= 0:
+        if self.mu.numerator <= 0 or self.nu.numerator <= 0:
             raise ValueError("mu, nu must be positive")
 
 
@@ -175,7 +175,7 @@ class SigmaTau:
         if type(self.sigma) is not Fraction or type(self.tau) is not Fraction:
             object.__setattr__(self, "sigma", as_rat(self.sigma))
             object.__setattr__(self, "tau", as_rat(self.tau))
-        if self.sigma <= 0 or self.tau <= 0:
+        if self.sigma.numerator <= 0 or self.tau.numerator <= 0:
             raise ValueError("sigma, tau must be positive")
 
 
@@ -204,15 +204,20 @@ def _positive_line(a: int, b: int, c: int, d: int) -> tuple[int, int] | None:
     return m, (b * t - m * a * t) // (s * b)
 
 
-def positive_witness(alpha: Rat, beta: Rat) -> PositiveLinear | None:
-    """Least-m solution of m*alpha*beta + n*alpha = beta with m, n >= 0 (``_positive_line``)."""
-    if alpha <= 0 or beta <= 0:
+def positive_witness(alpha: Rat | int, beta: Rat | int) -> PositiveLinear | None:
+    """Least-m solution of m*alpha*beta + n*alpha = beta with m, n >= 0 (``_positive_line``).
+
+    Each factor is an int or a Fraction; float and bool raise TypeError.
+    """
+    if type(alpha) is not Fraction or type(beta) is not Fraction:
+        alpha, beta = as_rat(alpha), as_rat(beta)
+    if alpha.numerator <= 0 or beta.numerator <= 0:
         raise ValueError("dilation factors must be positive")
     mn = _positive_line(alpha.numerator, alpha.denominator, beta.numerator, beta.denominator)
     return None if mn is None else PositiveLinear(*mn)
 
 
-def negative_witness(alpha: Rat, beta: Rat) -> NegHyperbola | NegVertical | NegSporadic | None:
+def negative_witness(alpha: Rat | int, beta: Rat | int) -> NegHyperbola | NegVertical | NegSporadic | None:
     """Search the three negative-quadrant families in a fixed order.
 
     Write alpha = -q/p and beta = -c/d in lowest terms.
@@ -224,8 +229,12 @@ def negative_witness(alpha: Rat, beta: Rat) -> NegHyperbola | NegVertical | NegS
     Vertical: alpha = -q/p is forced by lowest terms, leaving -1/p <= beta,
     that is c*p <= d.
     Sporadic: see ``_sporadic_witness``.
+
+    Each factor is an int or a Fraction; float and bool raise TypeError.
     """
-    if alpha >= 0 or beta >= 0:
+    if type(alpha) is not Fraction or type(beta) is not Fraction:
+        alpha, beta = as_rat(alpha), as_rat(beta)
+    if alpha.numerator >= 0 or beta.numerator >= 0:
         raise ValueError("dilation factors must be negative")
     q, p = -alpha.numerator, alpha.denominator
     c, d = -beta.numerator, beta.denominator
@@ -273,14 +282,18 @@ def _sporadic_witness(p: int, q: int, c: int, d: int) -> NegSporadic | None:
 
 
 def _witness(alpha: Rat, beta: Rat) -> Witness | None:
-    """The sign dispatch: the member certificate of (alpha, beta), or None."""
-    if alpha == 0 or beta == 0:
+    """The sign dispatch: the member certificate of (alpha, beta), or None.
+
+    The signs are read off the numerators, so no Fraction comparison runs.
+    """
+    a, c = alpha.numerator, beta.numerator
+    if a == 0 or c == 0:
         return AxisZero()
-    if alpha < 0 < beta:
+    if a < 0 < c:
         return MixedNegPos()
-    if alpha > 0 and beta > 0:
+    if a > 0 and c > 0:
         return positive_witness(alpha, beta)
-    if alpha < 0 and beta < 0:
+    if a < 0 and c < 0:
         return negative_witness(alpha, beta)
     return None
 
@@ -349,7 +362,7 @@ def classify(pair: DilationPair) -> Verdict:
 def to_munu(alpha: Rat, beta: Rat) -> MuNu:
     """(alpha, beta) -> (1/alpha, beta/alpha), an involution of the open first quadrant."""
     alpha, beta = as_rat(alpha), as_rat(beta)
-    if alpha <= 0 or beta <= 0:
+    if alpha.numerator <= 0 or beta.numerator <= 0:
         raise ValueError("dilation factors must be positive")
     return MuNu(1 / alpha, beta / alpha)
 
@@ -362,7 +375,7 @@ def from_munu(coords: MuNu) -> DilationPair:
 def to_sigmatau(alpha: Rat, beta: Rat) -> SigmaTau:
     """(alpha, beta) -> (alpha, alpha/beta)."""
     alpha, beta = as_rat(alpha), as_rat(beta)
-    if alpha <= 0 or beta <= 0:
+    if alpha.numerator <= 0 or beta.numerator <= 0:
         raise ValueError("dilation factors must be positive")
     return SigmaTau(alpha, alpha / beta)
 
@@ -373,7 +386,7 @@ def from_sigmatau(coords: SigmaTau) -> DilationPair:
 
 
 def _require_positive_pair(pair: DilationPair) -> None:
-    if pair.alpha <= 0 or pair.beta <= 0:
+    if pair.alpha.numerator <= 0 or pair.beta.numerator <= 0:
         raise ValueError("symmetries are defined on the open positive quadrant")
 
 

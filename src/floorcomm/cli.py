@@ -163,6 +163,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.member else 1
 
 
+# on the numerators, which carry the sign of a Fraction
 _QUADRANT_TESTS = {
     "all": lambda a, b: True,
     "++": lambda a, b: a > 0 and b > 0,
@@ -188,14 +189,15 @@ SWEEP_COLUMNS = ("alpha", "beta", "member", "witness_kind", "witness_params", "o
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    values = sweep_values(args.num_bound, args.den_bound)
+    # each value with its text, formatted once
+    values = [(value, format_rat(value)) for value in sweep_values(args.num_bound, args.den_bound)]
     # argparse drops the lone "--" of --quadrant=-- and leaves an empty list
     in_quadrant = _QUADRANT_TESTS[args.quadrant or "--"]
     rows = []
     members = disagreements = 0
-    for alpha in values:
-        for beta in values:
-            if not in_quadrant(alpha, beta):
+    for alpha, alpha_text in values:
+        for beta, beta_text in values:
+            if not in_quadrant(alpha.numerator, beta.numerator):
                 continue
             # no counterexample column, so the sweep needs the witness and not a Verdict
             witness = _witness(alpha, beta)
@@ -206,7 +208,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             disagreements += not agree
             kind = "" if witness is None else witness.kind
             params = _witness_params(witness, ";")
-            rows.append((format_rat(alpha), format_rat(beta), member, kind, params, report.min_value, agree))
+            rows.append((alpha_text, beta_text, member, kind, params, report.min_value, agree))
     summary = {"pairs": len(rows), "members": members, "disagreements": disagreements}
     if args.fmt == "json":
         payload = {"rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows], "summary": summary}

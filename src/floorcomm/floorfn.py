@@ -15,14 +15,23 @@ period as a single merged stream, two pointers and no stored points, so it
 runs in time linear in the |a|*d + |c|*b - gcd(|a|*d, |c|*b) breakpoints and
 in O(1) extra memory.  The inner floors floor(alpha*x) and floor(beta*x) are
 the counts of points passed, with a sign correction for a negative factor,
-so each sample costs only the two outer floors.
+so a step past a point of one progression recomputes one outer floor.
+
+A breakpoint is sampled by a continuity rule: floor(g*x) is right-continuous
+for g > 0 and left-continuous for g < 0, so a point has the value of the gap
+after it when every factor whose progression passes through it is positive,
+and of the gap before it when every such factor is negative.  Only where both
+progressions meet and exactly one factor is negative does the point have a
+value of its own, and only there is it evaluated.  The classification says
+that sample never sets the minimum, but the oracle checks that classification
+and so must not assume it; the sample stays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .exact import Rat, as_rat, rat_ceil, rat_floor
 
@@ -50,6 +59,9 @@ class OracleReport:
 
     ``min_value`` is the exact global minimum over all real x; ``argmin`` is
     the smallest point in [0, period) attaining it, in scan order.
+    ``samples_checked`` counts the samples covered, a breakpoint and a gap
+    for each of the ``breakpoints_checked`` breakpoints; by continuity most
+    breakpoints share a gap's value and are not evaluated on their own.
     """
 
     period: Rat
@@ -104,65 +116,91 @@ def upper_round(alpha: Rat | int, x: Rat | int) -> Rat:
 def oracle_verify(pair: DilationPair) -> OracleReport:
     """Exact global minimum of the commutator, by exhaustive period scan.
 
-    Evaluates the commutator at every breakpoint in [0, T) and at the exact
-    midpoint of every gap between consecutive breakpoints; piecewise
-    constancy makes this a complete cover of R.  Breakpoints are scaled by
-    |num(alpha)*num(beta)|, so the two progressions are k*step_a and
-    j*step_b in integers, and one two-pointer walk merges them in increasing
-    order without storing either: O(1) extra memory, one step per
-    breakpoint.
+    Covers every breakpoint in [0, T) and every gap between consecutive
+    breakpoints; piecewise constancy makes this a complete cover of R.
+    Breakpoints are scaled by |num(alpha)*num(beta)|, so the two progressions
+    are k*step_a and j*step_b in integers, and one two-pointer walk merges
+    them in increasing order without storing either: O(1) extra memory, one
+    step per breakpoint, and |a|*d + |c|*b - gcd(|a|*d, |c|*b) steps in all.
 
     The inner floors need no division.  If ka alpha points lie in (0, x],
     floor(alpha*x) is ka for alpha > 0 and -ka-1 for alpha < 0, except at a
     point of the alpha progression itself, where alpha*x = -ka is an integer;
     the same holds for beta.  The walk carries these gap floors and bumps
-    them as it passes a point, so a sample costs only the outer floors
-    floor(alpha*floor(beta*x)) and floor(beta*floor(alpha*x)), one
-    small-integer division each.  Where the breakpoint lies on no
-    progression of a negative factor, it shares its value with the gap after
-    it; the breakpoint comes first in scan order and only a strictly smaller
-    value replaces the best, so one evaluation covers both samples.
+    one as it passes a point of its progression, so a step recomputes one
+    outer floor, floor(beta*floor(alpha*x)) or floor(alpha*floor(beta*x)),
+    one small-integer division, and both only where the progressions meet.
+
+    A breakpoint's own sample follows from continuity.  floor(g*x) is
+    right-continuous for g > 0 and left-continuous for g < 0, and an inner
+    floor whose progression misses the point is the same on both sides.  So
+    where every factor whose progression passes through the point is
+    positive, the point has the value of the gap after it and comes first in
+    scan order: the gap is compared as the point, at 2*lo.  Where every such
+    factor is negative, the point has the value of the gap before it, which
+    was already compared; only a strictly smaller value replaces the best,
+    so the point is skipped.  Only where both progressions meet and exactly
+    one factor is negative does the point have a value of its own, and there
+    it is evaluated before the gap.  The scan does not rely on the theorem
+    it checks, so that sample stays although the classification predicts it
+    never sets the minimum: for alpha < 0 < beta it is never below 0, and
+    for alpha > 0 > beta never below the gap before it.
     """
     alpha, beta = pair.alpha, pair.beta
-    if alpha == 0 or beta == 0:
-        # both compositions vanish identically; nothing to enumerate
-        return OracleReport(Fraction(1), 0, Fraction(0), 0, 0)
     a, b = alpha.numerator, alpha.denominator
     c, d = beta.numerator, beta.denominator
+    if a == 0 or c == 0:
+        # both compositions vanish identically; nothing to enumerate
+        return OracleReport(Fraction(1), 0, Fraction(0), 0, 0)
     scale = abs(a) * abs(c)  # common denominator of all breakpoints
     span = b * d * scale  # period T = b*d, scaled by `scale`
     step_a = b * abs(c)  # |1/alpha|, scaled
     step_b = d * abs(a)  # |1/beta|, scaled
     neg_a, neg_b = a < 0, c < 0
     inc_a, inc_b = (-1 if neg_a else 1), (-1 if neg_b else 1)
-    # floor(alpha*x), floor(beta*x) on the open gap after the breakpoint lo
-    fa, fb = -neg_a, -neg_b
-    lo, next_a, next_b = 0, step_a, step_b
-    on_a = on_b = True  # lo lies on the alpha resp. beta progression
+    # floor(alpha*x), floor(beta*x) on the gap before x = 0; the walk starts
+    # at the meet point 0 and bumps both to their values on the gap after it
+    fa, fb = neg_a - 1, neg_b - 1
+    left = right = 0  # floor(alpha*fb), floor(beta*fa) on the current gap
+    next_a = next_b = 0
     # x = 0 is the first sample and the commutator vanishes there
     best = best_num = 0
-    breakpoints = 0
-    while lo < span:
-        hi = next_a if next_a < next_b else next_b
-        gap = (a * fb) // b - (c * fa) // d
-        at_a, at_b = on_a and neg_a, on_b and neg_b
-        if at_a or at_b:
-            point = (a * (fb + at_b)) // b - (c * (fa + at_a)) // d
-            if point < best:
-                best, best_num = point, 2 * lo
-            if gap < best:
-                best, best_num = gap, lo + hi
-        elif gap < best:
-            best, best_num = gap, 2 * lo
-        breakpoints += 1
-        on_a, on_b = next_a == hi, next_b == hi
-        if on_a:
+    while True:
+        if next_a < next_b:  # a point of the alpha progression only
             next_a += step_a
             fa += inc_a
-        if on_b:
+            right = (c * fa) // d
+            if left - right < best:
+                best = left - right
+                lo = next_a - step_a
+                best_num = lo + min(next_a, next_b) if neg_a else 2 * lo
+        elif next_b < next_a:  # a point of the beta progression only
             next_b += step_b
             fb += inc_b
-        lo = hi
+            left = (a * fb) // b
+            if left - right < best:
+                best = left - right
+                lo = next_b - step_b
+                best_num = lo + min(next_a, next_b) if neg_b else 2 * lo
+        else:  # the progressions meet
+            lo = next_a
+            if lo == span:
+                break
+            next_a += step_a
+            next_b += step_b
+            fa += inc_a
+            fb += inc_b
+            left, right = (a * fb) // b, (c * fa) // d
+            if neg_a != neg_b:
+                # the negative factor's inner floor is one higher at the point
+                point = (a * (fb + neg_b)) // b - (c * (fa + neg_a)) // d
+                if point < best:
+                    best, best_num = point, 2 * lo
+            if left - right < best:
+                best = left - right
+                best_num = lo + min(next_a, next_b) if neg_a or neg_b else 2 * lo
+    on_a, on_b = abs(a) * d, abs(c) * b  # points of each progression in [0, T)
+    breakpoints = on_a + on_b - gcd(on_a, on_b)
     return OracleReport(
         period=Fraction(b * d),
         min_value=best,
@@ -194,7 +232,7 @@ def integer_rounding_check(alpha: Rat | int, beta: Rat | int) -> tuple[bool, int
     or (False, n).
     """
     alpha, beta = as_rat(alpha), as_rat(beta)
-    if alpha <= 0 or beta <= 0:
+    if alpha.numerator <= 0 or beta.numerator <= 0:
         raise ValueError("dilation factors must be positive")
     k = _least_k(alpha.numerator, alpha.denominator, beta.numerator, beta.denominator, 0)
     return (True, None) if k is None else (False, k)
@@ -206,6 +244,6 @@ def rounding_order(alpha: Rat | int, beta: Rat | int) -> bool:
     Holds exactly when alpha is a positive integer multiple of beta.
     """
     alpha, beta = as_rat(alpha), as_rat(beta)
-    if alpha <= 0 or beta <= 0:
+    if alpha.numerator <= 0 or beta.numerator <= 0:
         raise ValueError("dilation factors must be positive")
     return (alpha / beta).denominator == 1

@@ -8,6 +8,8 @@ The second asks whether the cyclic subgroup of the torus R^2/Z^2 generated by
 (sigma, tau) avoids the open corner box (0, sigma) x (0, tau) projected to
 the torus; for rational parameters the subgroup is finite, of order
 lcm(den(sigma), den(tau)), and is enumerated outright.
+
+Points and arc lengths are ints or Fractions; float and bool raise TypeError.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import lcm
 
 from .beatty import _least_common_reduced
 from .classify import MuNu, SigmaTau
-from .exact import Rat, rat_floor
+from .exact import Rat, as_rat, rat_floor
 
 
 # the lattice spacings are the (mu, nu) coordinates and the corner box sides
@@ -25,8 +27,9 @@ LatticeParams = MuNu
 CornerRect = SigmaTau
 
 
-def in_enlarged_diagonal(x: Rat, y: Rat) -> bool:
+def in_enlarged_diagonal(x: Rat | int, y: Rat | int) -> bool:
     """True iff (x, y) lies in some open unit square (n, n+1) x (n, n+1)."""
+    x, y = as_rat(x), as_rat(y)
     return x.denominator != 1 and y.denominator != 1 and rat_floor(x) == rat_floor(y)
 
 
@@ -46,26 +49,29 @@ def lattice_diag_disjoint(params: LatticeParams) -> tuple[bool, tuple[int, int] 
     return False, (k, ell)
 
 
-def frac_part(x: Rat) -> Rat:
+def frac_part(x: Rat | int) -> Rat:
     """Canonical representative of x mod 1, in [0, 1)."""
+    x = as_rat(x)
     return x - rat_floor(x)
 
 
-def circle_arc_contains(x: Rat, sigma: Rat) -> bool:
+def circle_arc_contains(x: Rat | int, sigma: Rat | int) -> bool:
     """Per-axis factor of the torus test: is x mod 1 inside the arc (0, sigma)?
 
     For sigma > 1 the projected arc wraps and covers the whole circle; for
     sigma = 1 it is the circle minus the single point 0.
     """
-    if sigma <= 0:
+    x, sigma = as_rat(x), as_rat(sigma)
+    if sigma.numerator <= 0:
         raise ValueError("arc length must be positive")
     if sigma > 1:
         return True
     return 0 < frac_part(x) < sigma
 
 
-def torus_point_in_corner(x: Rat, y: Rat, rect: CornerRect) -> bool:
+def torus_point_in_corner(x: Rat | int, y: Rat | int, rect: CornerRect) -> bool:
     """True iff (x, y) mod Z^2 lies in the projected open corner rectangle."""
+    x, y = as_rat(x), as_rat(y)
     return circle_arc_contains(x, rect.sigma) and circle_arc_contains(y, rect.tau)
 
 

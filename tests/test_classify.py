@@ -57,6 +57,16 @@ def test_positive_witness_rejects_nonpositive():
         positive_witness(Fraction(-1, 3), Fraction(1, 2))
 
 
+@pytest.mark.parametrize("search, sign", [(positive_witness, 1), (negative_witness, -1)])
+def test_witness_searches_take_int_and_reject_float_and_bool(search, sign):
+    assert search(sign * 2, sign * 4) == search(Fraction(sign * 2), Fraction(sign * 4))
+    for alpha, beta in [(sign * 0.5, sign * 2), (sign * 2, sign * 0.5), (True, 2), (2, True), ("1/2", 1)]:
+        with pytest.raises(TypeError):
+            search(alpha, beta)
+    with pytest.raises(ValueError):
+        search(-sign * 2, sign * 4)
+
+
 def test_negative_witness_hyperbola():
     assert negative_witness(Fraction(-1), Fraction(-1, 2)) == NegHyperbola(0, 2)
     # these two also sit on branch-(i) curves, which the fixed search order

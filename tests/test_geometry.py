@@ -118,6 +118,35 @@ def test_torus_point_in_corner():
     assert torus_point_in_corner(Fraction(11, 9), Fraction(7, 6), rect)  # mod 1
 
 
+RECT = CornerRect(Fraction(4, 9), Fraction(1, 3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: in_enlarged_diagonal(x, Fraction(1, 2)),
+        lambda y: in_enlarged_diagonal(Fraction(1, 2), y),
+        frac_part,
+        lambda x: circle_arc_contains(x, Fraction(1, 3)),
+        lambda sigma: circle_arc_contains(Fraction(1, 3), sigma),
+        lambda x: torus_point_in_corner(x, Fraction(1, 6), RECT),
+        lambda y: torus_point_in_corner(Fraction(2, 9), y, RECT),
+    ],
+    ids=["diagonal_x", "diagonal_y", "frac_part", "arc_x", "arc_sigma", "corner_x", "corner_y"],
+)
+def test_point_functions_reject_float_and_bool(call):
+    for bad in (0.5, True, False, "1/2"):
+        with pytest.raises(TypeError):
+            call(bad)
+
+
+def test_point_functions_take_int():
+    assert not in_enlarged_diagonal(1, Fraction(3, 2))
+    assert frac_part(3) == 0 and type(frac_part(3)) is Fraction
+    assert circle_arc_contains(Fraction(7, 2), 1) and not circle_arc_contains(3, 1)
+    assert torus_point_in_corner(1, 1, CornerRect(2, 2)) and not torus_point_in_corner(1, 1, RECT)
+
+
 @given(rationals)
 def test_frac_part_is_canonical(x):
     f = frac_part(x)

@@ -58,3 +58,37 @@ def test_oracle_memory_is_constant_in_breakpoints():
         tracemalloc.stop()
     assert report.breakpoints_checked == breakpoint_count(pair.alpha, pair.beta)
     assert peak < 64 * 1024
+
+
+def test_streaming_oracle_matches_reference_where_progressions_meet():
+    # beta = +-k*alpha and +-alpha/k put a meet point every few breakpoints,
+    # in all four sign combinations, mixed ones included
+    grid = signed_grid(8, 8)
+    pairs = {
+        (alpha, sign * scaled)
+        for alpha in grid
+        for k in range(1, 7)
+        for scaled in (k * alpha, alpha / k)
+        for sign in (1, -1)
+    }
+    signs = set()
+    for alpha, beta in sorted(pairs):
+        pair = DilationPair(alpha, beta)
+        assert oracle_verify(pair) == reference_oracle_verify(pair), (alpha, beta)
+        signs.add((alpha > 0, beta > 0))
+    assert len(signs) == 4
+
+
+positive_rationals = st.builds(Fraction, st.integers(1, 300), st.integers(1, 300))
+
+
+@given(positive_rationals, positive_rationals, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_streaming_oracle_matches_reference_with_one_negative_factor(alpha, beta, negate_alpha):
+    if negate_alpha:
+        alpha = -alpha
+    else:
+        beta = -beta
+    assume(breakpoint_count(alpha, beta) <= 60_000)
+    pair = DilationPair(alpha, beta)
+    assert oracle_verify(pair) == reference_oracle_verify(pair)
