@@ -9,7 +9,11 @@ For u > 0 the three flavors are
 Membership of m in each set is O(1): it only asks whether an integer multiple
 of u lands in [m, m+1) (resp. strictly inside (m, m+1)).  Membership in the
 reduced set depends only on m mod num(u), which makes disjointness of two
-reduced sets decidable on one window of length lcm of the numerators.
+reduced sets decidable on one window of length lcm of the numerators.  The
+window scan reads the numerators and denominators once and tests each m with
+the same integer predicate as ``reduced_contains``; it calls nothing in the
+classifier.  The disjointness witness is the classifier's positive-line
+kernel, called on the numerators and denominators directly.
 
 Parameters are ints or Fractions, m is an int; float and bool raise TypeError.
 """
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .classify import positive_witness
+from .classify import _positive_line
 from .exact import Rat, as_rat, require_int
 
 
@@ -47,17 +51,19 @@ def beatty_contains(u: Rat | int, m: int) -> bool:
     return n0 * p < (m + 1) * q
 
 
+def _in_reduced(p: int, q: int, m: int) -> bool:
+    """m in reduced(p/q): the least multiple above m, ((m*q)//p + 1)*p/q, is below m + 1."""
+    return p - m * q % p < q
+
+
 def reduced_contains(u: Rat | int, m: int) -> bool:
     """True iff some non-integer multiple of u has floor m.
 
     Equivalently: some integer multiple of u lies strictly inside (m, m+1).
     """
-    if type(m) is not int:  # one type test on the window scan's path
-        require_int(m, "m")
+    require_int(m, "m")
     u = _require_positive(u)
-    p, q = u.numerator, u.denominator
-    n0 = (m * q) // p + 1  # least n with n*u > m
-    return n0 * p < (m + 1) * q
+    return _in_reduced(u.numerator, u.denominator, m)
 
 
 def disjointness_witness(u: Rat | int, v: Rat | int) -> tuple[int, int] | None:
@@ -65,22 +71,30 @@ def disjointness_witness(u: Rat | int, v: Rat | int) -> tuple[int, int] | None:
 
     Dividing the classifier's positive line m*alpha*beta + n*alpha = beta by
     beta gives m*alpha + n*alpha/beta = 1, which at (alpha, beta) =
-    (1/u, v/u) reads m/u + n/v = 1.  So the witness is ``positive_witness``
-    there: the least-m solution, or None when no such pair exists.
+    (1/u, v/u) reads m/u + n/v = 1.  With u = p/q and v = r/s that is the
+    kernel ``_positive_line`` at alpha = q/p and beta = (r*q)/(s*p), which it
+    solves unreduced: the least-m solution, or None when no such pair exists.
     """
     u, v = _require_positive(u), _require_positive(v)
-    witness = positive_witness(1 / u, v / u)
-    return None if witness is None else (witness.m, witness.n)
+    p, q = u.numerator, u.denominator
+    return _positive_line(q, p, v.numerator * q, v.denominator * p)
 
 
 def _least_common_reduced(u: Rat, v: Rat) -> int | None:
     """Least m >= 0 in both reduced sets, or None if they are disjoint.
 
-    Membership in reduced(u) depends only on m mod num(u), so the window
-    [0, lcm(num(u), num(v))) is exhaustive.
+    An integer parameter has an empty reduced set, so the answer is None at
+    once.  Otherwise membership in reduced(u) depends only on m mod num(u),
+    so the window [0, lcm(num(u), num(v))) is exhaustive; it is scanned in
+    order with ``_in_reduced``.  A parameter below 1 has reduced set all of
+    Z, and then the scan stops within num of the other parameter steps.
     """
-    for m in range(lcm(u.numerator, v.numerator)):
-        if reduced_contains(u, m) and reduced_contains(v, m):
+    pu, qu = u.numerator, u.denominator
+    pv, qv = v.numerator, v.denominator
+    if qu == 1 or qv == 1:
+        return None
+    for m in range(lcm(pu, pv)):
+        if _in_reduced(pu, qu, m) and _in_reduced(pv, qv, m):
             return m
     return None
 
@@ -88,14 +102,8 @@ def _least_common_reduced(u: Rat, v: Rat) -> int | None:
 def reduced_disjoint(u: Rat | int, v: Rat | int) -> bool:
     """Decide whether the reduced Beatty sets of u and v share any integer.
 
-    Brute-force and independent of disjointness_witness: integer parameters have
-    an empty reduced set, parameters below 1 have reduced set all of Z, and
-    otherwise one window scan decides.
+    Brute-force and independent of disjointness_witness: one window scan,
+    ``_least_common_reduced``, decides.
     """
     u, v = _require_positive(u), _require_positive(v)
-    if u.denominator == 1 or v.denominator == 1:
-        return True
-    if u < 1 or v < 1:
-        # one side is all of Z and the other (non-integer) side is nonempty
-        return False
     return _least_common_reduced(u, v) is None

@@ -189,7 +189,9 @@ def _positive_line(a: int, b: int, c: int, d: int) -> tuple[int, int] | None:
     (b*t/g) * (a*t/g)^-1 mod (s*b/g).  n decreases in m, so if it is negative
     there, no m works.  n is unique given m and (0, 0) never solves, so this
     is the smallest-m solution of a scan over m = 0, 1, ..., floor(1/alpha),
-    found in O(log) steps.
+    found in O(log) steps.  Neither a/b nor c/d need be in lowest terms:
+    scaling c, d leaves s/t as it is, and scaling a, b scales the congruence
+    and the n >= 0 test alike.
     """
     s, t = a * d, b * c
     g = gcd(s, t)
@@ -368,8 +370,9 @@ def to_munu(alpha: Rat, beta: Rat) -> MuNu:
 
 
 def from_munu(coords: MuNu) -> DilationPair:
-    """(mu, nu) -> (1/mu, nu/mu)."""
-    return DilationPair(1 / coords.mu, coords.nu / coords.mu)
+    """(mu, nu) -> (1/mu, nu/mu), built from the integer products."""
+    a, b = coords.mu.numerator, coords.mu.denominator
+    return DilationPair(Fraction(b, a), Fraction(coords.nu.numerator * b, coords.nu.denominator * a))
 
 
 def to_sigmatau(alpha: Rat, beta: Rat) -> SigmaTau:
@@ -381,8 +384,9 @@ def to_sigmatau(alpha: Rat, beta: Rat) -> SigmaTau:
 
 
 def from_sigmatau(coords: SigmaTau) -> DilationPair:
-    """(sigma, tau) -> (sigma, sigma/tau)."""
-    return DilationPair(coords.sigma, coords.sigma / coords.tau)
+    """(sigma, tau) -> (sigma, sigma/tau), built from the integer products."""
+    sigma, tau = coords.sigma, coords.tau
+    return DilationPair(sigma, Fraction(sigma.numerator * tau.denominator, sigma.denominator * tau.numerator))
 
 
 def _require_positive_pair(pair: DilationPair) -> None:

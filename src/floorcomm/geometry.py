@@ -85,10 +85,9 @@ def torus_subgroup_avoids(rect: CornerRect) -> tuple[bool, int | None]:
     """
     ps, qs = rect.sigma.numerator, rect.sigma.denominator
     pt, qt = rect.tau.numerator, rect.tau.denominator
+    wrap_x, wrap_y = ps > qs, pt > qt  # a side above 1 covers its whole circle
     for n in range(1, lcm(qs, qt) + 1):
         # frac(n*sigma) < sigma reduces to (n*ps mod qs) < ps when sigma <= 1
-        hit_x = ps > qs or 0 < (n * ps) % qs < ps
-        hit_y = pt > qt or 0 < (n * pt) % qt < pt
-        if hit_x and hit_y:
+        if (wrap_x or 0 < n * ps % qs < ps) and (wrap_y or 0 < n * pt % qt < pt):
             return False, n
     return True, None

@@ -14,15 +14,19 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .classify import is_member
-from .exact import Rat
+from .exact import Rat, as_rat
 from .floorfn import DilationPair
 
 
 def precedes(alpha: Rat, beta: Rat) -> bool:
-    """True iff the commutator of (alpha, beta) is nonnegative everywhere."""
-    if alpha == 0 or beta == 0:
+    """True iff the commutator of (alpha, beta) is nonnegative everywhere.
+
+    Each factor is a nonzero int or Fraction; float and bool raise TypeError.
+    """
+    pair = DilationPair(alpha, beta)
+    if pair.alpha.numerator == 0 or pair.beta.numerator == 0:
         raise ValueError("the preorder is defined on nonzero dilations")
-    return is_member(DilationPair(alpha, beta))
+    return is_member(pair)
 
 
 def equivalent(alpha: Rat, beta: Rat) -> bool:
@@ -40,7 +44,7 @@ class Preorder:
 
     @classmethod
     def on(cls, grid: Iterable[Rat]) -> Preorder:
-        values = tuple(dict.fromkeys(grid))
+        values = tuple(dict.fromkeys(map(as_rat, grid)))
         rows = tuple(sum(1 << j for j, b in enumerate(values) if precedes(a, b)) for a in values)
         return cls(values, rows)
 

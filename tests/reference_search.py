@@ -10,13 +10,21 @@ the differential tests only call them on small inputs.
 
 ``reference_least_violation`` is the brute-force counterpart of the
 non-member certificate: the first violating breakpoint of a period scan.
+
+``reference_reduced_disjoint``, ``reference_lattice_diag_disjoint`` and
+``reference_torus_subgroup_avoids`` are the criteria deciders as floorcomm
+shipped them before their loops ran on integers: the window scan calls the
+public ``reduced_contains`` for every m (and scans the whole window for an
+integer lattice spacing), and the torus loop tests both axes at every N.
 """
 
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
 
+from floorcomm.beatty import reduced_contains
 from floorcomm.classify import NegHyperbola, NegSporadic, NegVertical, PositiveLinear
 from floorcomm.exact import rat_floor
+from floorcomm.geometry import CornerRect, LatticeParams
 
 
 def reference_positive_witness(alpha: Fraction, beta: Fraction) -> PositiveLinear | None:
@@ -94,3 +102,45 @@ def reference_least_violation(alpha: Fraction, beta: Fraction) -> Fraction | Non
         if fraction_commutator(alpha, beta, i * step) < 0:
             return i * step
     return None
+
+
+def reference_least_common_reduced(u: Fraction, v: Fraction) -> int | None:
+    """Least m in the window [0, lcm(num(u), num(v))) in both reduced sets, one public call per m."""
+    for m in range(lcm(u.numerator, v.numerator)):
+        if reduced_contains(u, m) and reduced_contains(v, m):
+            return m
+    return None
+
+
+def reference_reduced_disjoint(u: Fraction, v: Fraction) -> bool:
+    """Integer parameters: empty reduced set; a parameter below 1: all of Z; else the window scan."""
+    if u <= 0 or v <= 0:
+        raise ValueError("Beatty parameter must be positive")
+    if u.denominator == 1 or v.denominator == 1:
+        return True
+    if u < 1 or v < 1:
+        return False
+    return reference_least_common_reduced(u, v) is None
+
+
+def reference_lattice_diag_disjoint(params: LatticeParams) -> tuple[bool, tuple[int, int] | None]:
+    """The window scan at (mu, nu), with the least lattice indices (k, l) of its hit."""
+    mu, nu = params.mu, params.nu
+    m = reference_least_common_reduced(mu, nu)
+    if m is None:
+        return True, None
+    k = (m * mu.denominator) // mu.numerator + 1
+    ell = (m * nu.denominator) // nu.numerator + 1
+    return False, (k, ell)
+
+
+def reference_torus_subgroup_avoids(rect: CornerRect) -> tuple[bool, int | None]:
+    """Enumerate N*(sigma, tau) mod Z^2 for N = 1, ..., lcm of the denominators, both axes each time."""
+    ps, qs = rect.sigma.numerator, rect.sigma.denominator
+    pt, qt = rect.tau.numerator, rect.tau.denominator
+    for n in range(1, lcm(qs, qt) + 1):
+        hit_x = ps > qs or 0 < (n * ps) % qs < ps
+        hit_y = pt > qt or 0 < (n * pt) % qt < pt
+        if hit_x and hit_y:
+            return False, n
+    return True, None

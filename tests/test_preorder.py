@@ -24,6 +24,28 @@ def test_precedes_rejects_zero():
         precedes(Fraction(1), Fraction(0))
 
 
+@pytest.mark.parametrize("bad", [0.0, False, 0.5, True])
+def test_precedes_refuses_float_and_bool_before_the_zero_test(bad):
+    for alpha, beta in ((bad, 1), (1, bad)):
+        with pytest.raises(TypeError):
+            precedes(alpha, beta)
+
+
+def test_precedes_takes_plain_ints():
+    assert precedes(1, 2) and not precedes(3, 2)
+    with pytest.raises(ValueError):
+        precedes(0, 1)
+
+
+def test_grid_values_are_refused_before_the_dedup():
+    for grid in ([Fraction(1, 2), 0.5], [Fraction(1), True]):
+        with pytest.raises(TypeError):
+            equivalence_classes(grid)
+        with pytest.raises(TypeError):
+            audit_transitivity(grid)
+    assert Preorder.on([1, Fraction(1), Fraction(2, 2)]).values == (Fraction(1),)
+
+
 def test_equivalent_examples():
     assert equivalent(Fraction(1, 3), Fraction(1, 5))
     assert equivalent(Fraction(-7, 4), Fraction(-7, 4))

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import positive_grid, signed_grid
@@ -40,6 +40,18 @@ def test_disjointness_witness_matches_reference_scan():
     for u in range(1, 7):
         for v in range(1, 7):
             assert disjointness_witness(u, v) == reference_disjointness_witness(Fraction(u), Fraction(v))
+
+
+beatty_params = st.one_of(
+    st.builds(Fraction, st.integers(1, 10**3), st.integers(1, 10**3)),
+    st.integers(1, 10**3),
+)
+
+
+@settings(max_examples=300)
+@given(beatty_params, beatty_params)
+def test_disjointness_witness_matches_reference_scan_at_larger_parts(u, v):
+    assert disjointness_witness(u, v) == reference_disjointness_witness(Fraction(u), Fraction(v))
 
 
 @st.composite
