@@ -71,7 +71,18 @@ def test_classify_plain_format(capsys):
 
 
 def test_verdict_json_round_trip(capsys):
-    for alpha, beta in [("1/3", "1/2"), ("-3/2", "-3/4"), ("2/3", "1/2"), ("0", "5/3"), ("-2", "-5/3")]:
+    pairs = [
+        ("1/3", "1/2"),
+        ("-3/2", "-3/4"),
+        ("2/3", "1/2"),
+        ("0", "5/3"),
+        ("-1", "1"),  # mixed_neg_pos
+        ("-1", "-2/3"),  # neg_vertical
+        ("-2", "-4/3"),  # neg_sporadic
+        ("3/7", "-2"),
+        ("-2", "-5/3"),  # last: read after the loop
+    ]
+    for alpha, beta in pairs:
         capsys.readouterr()
         main(["classify", alpha, beta, "--no-oracle"])
         payload = json.loads(capsys.readouterr().out)
@@ -226,13 +237,71 @@ def test_preorder_csv(tmp_path, capsys):
         (["preorder", "-P", "3", "-Q", "3", "--csv"], "preorder_P3_Q3", "csv"),
         (["sweep", "-P", "3", "-Q", "3"], "sweep_P3_Q3", "csv"),
         (["sweep", "-P", "3", "-Q", "3", "--json"], "sweep_P3_Q3", "json"),
+        # OUT stands for a file in tmp_path; "--out -" is stdout
+        (["preorder", "-P", "3", "-Q", "3", "--out", "OUT"], "preorder_P3_Q3", "json"),
+        (["preorder", "-P", "3", "-Q", "3", "--csv", "--out", "OUT"], "preorder_P3_Q3", "csv"),
+        (["sweep", "-P", "3", "-Q", "3", "--out", "OUT"], "sweep_P3_Q3", "csv"),
+        (["sweep", "-P", "3", "-Q", "3", "--json", "--out", "OUT"], "sweep_P3_Q3", "json"),
+        (["sweep", "-P", "3", "-Q", "3", "--out", "-"], "sweep_P3_Q3", "csv"),
     ],
 )
-def test_grid_commands_match_golden_bytes(argv, stem, suffix, capsys):
-    assert main(argv) == 0
+def test_grid_commands_match_golden_bytes(argv, stem, suffix, capsys, tmp_path):
+    out = tmp_path / f"{stem}.{suffix}"
+    to_file = "OUT" in argv
+    assert main([str(out) if arg == "OUT" else arg for arg in argv]) == 0
     captured = capsys.readouterr()
-    assert captured.out.encode() == (DATA / f"{stem}.{suffix}").read_bytes()
+    golden = (DATA / f"{stem}.{suffix}").read_bytes()
+    if to_file:
+        assert out.read_bytes() == golden
+        assert captured.out == ""
+    else:
+        assert captured.out.encode() == golden
     assert captured.err.encode() == (DATA / f"{stem}.stderr").read_bytes()
+
+
+def _single_pair_argv():
+    pairs = [
+        ("0", "0"),
+        ("1/3", "1/2"),
+        ("-1", "1"),
+        ("-3/2", "-3/4"),
+        ("-1", "-2/3"),  # neg_vertical
+        ("-2", "-4/3"),  # neg_sporadic
+        ("2/3", "1/2"),
+        ("-2", "-5/3"),  # argmin 11/20, certificate 3/5
+        ("3/7", "-2"),
+    ]
+    for alpha, beta in pairs:
+        for flags in ([], ["--plain"], ["--no-oracle"], ["--plain", "--no-oracle"]):
+            yield ["classify", alpha, beta, *flags]
+    for alpha, beta in [("2/3", "1/2"), ("-1", "1")]:
+        yield ["verify", alpha, beta]
+        yield ["verify", alpha, beta, "--plain"]
+    yield ["beatty", "5/2", "5/3"]
+    yield ["beatty", "5/2", "7/3", "--plain"]
+    yield ["beatty", "1", "2", "--window", "0", "5", "--plain"]
+    yield ["frobenius", "3", "5"]
+    yield ["frobenius", "3", "5", "--plain"]
+    yield ["frobenius", "4", "6"]  # not coprime: exit 2
+    yield ["beatty", "-1", "2"]  # not positive: exit 2
+
+
+SINGLE_PAIR_ARGV = list(_single_pair_argv())
+
+
+@pytest.fixture(scope="module")
+def single_pair_golden():
+    return json.loads((DATA / "single_pair_commands.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", SINGLE_PAIR_ARGV, ids=" ".join)
+def test_single_pair_commands_match_golden_bytes(argv, single_pair_golden, capsys):
+    # each entry holds the exit code, stdout and stderr of one invocation
+    golden = single_pair_golden[" ".join(argv)]
+    assert main(argv) == golden["exit"]
+    captured = capsys.readouterr()
+    assert captured.out == golden["stdout"]
+    assert captured.err == golden["stderr"]
 
 
 def test_preorder_decides_each_ordered_pair_once(monkeypatch, capsys):
