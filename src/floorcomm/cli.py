@@ -4,6 +4,9 @@ Exit codes follow the verdict convention throughout: 0 for a member or
 affirmative result, 1 for a non-member or negative result, 2 for usage,
 parse, or output errors.  All numeric output is exact ``p/q`` text; floats
 appear only inside SVG coordinates.
+
+Each command builds its payload once and hands the one text asked for (JSON,
+plain lines, CSV or SVG) to ``_emit``, the only writer of command output.
 """
 
 from __future__ import annotations
@@ -17,41 +20,24 @@ import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Sequence, get_args
 
 from .beatty import beatty_contains, beatty_pos_contains, reduced_contains, reduced_disjoint, disjointness_witness
-from .classify import (
-    AxisZero,
-    MixedNegPos,
-    NegHyperbola,
-    NegSporadic,
-    NegVertical,
-    PositiveLinear,
-    Verdict,
-    Witness,
-    _witness,
-    classify,
-)
+from .classify import Verdict, Witness, _witness, classify
 from .exact import Rat, format_rat, parse_rat
 from .floorfn import DilationPair, OracleReport, oracle_verify
 from .plot import PlotSpec, build_plot_model, render_svg
 from .preorder import Preorder
 from .semigroup import SemigroupPair, frobenius_number, nonrealizing_set, sylvester_duality_holds
 
-_WITNESS_TYPES = {
-    cls.kind: cls
-    for cls in (AxisZero, MixedNegPos, PositiveLinear, NegHyperbola, NegVertical, NegSporadic)
-}
+_WITNESS_TYPES = {cls.kind: cls for cls in get_args(Witness)}
 
 _NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$")
 
 
 def witness_to_dict(witness: Witness | None) -> dict[str, Any] | None:
-    if witness is None:
-        return None
-    payload: dict[str, Any] = {"kind": witness.kind}
-    payload.update(vars(witness))  # the fields, in declaration order
-    return payload
+    # the fields, in declaration order
+    return None if witness is None else {"kind": witness.kind} | vars(witness)
 
 
 def witness_from_dict(data: dict[str, Any] | None) -> Witness | None:
@@ -82,35 +68,33 @@ def verdict_from_dict(data: dict[str, Any]) -> Verdict:
 
 
 def report_to_dict(report: OracleReport) -> dict[str, Any]:
-    return {
-        "period": format_rat(report.period),
-        "min_value": report.min_value,
-        "argmin": format_rat(report.argmin),
-        "breakpoints_checked": report.breakpoints_checked,
-        "samples_checked": report.samples_checked,
-    }
+    # the fields, in declaration order, with the two Rats as text
+    return vars(report) | {"period": format_rat(report.period), "argmin": format_rat(report.argmin)}
 
 
-def _witness_params(witness: Witness | None, sep: str) -> str:
-    if witness is None:
-        return ""
-    return sep.join(f"{key}={value}" for key, value in vars(witness).items())
+def _witness_params(witness: Witness | None) -> list[str]:
+    return [] if witness is None else [f"{key}={value}" for key, value in vars(witness).items()]
 
 
-def _emit(text: str, out: str | None) -> None:
+def _json(payload: Any) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _csv(rows: Iterable[Sequence[Any]]) -> str:
+    """Rows, the header first, as CSV text with bools as ``true``/``false``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerows([str(v).lower() if isinstance(v, bool) else v for v in row] for row in rows)
+    return buffer.getvalue()
+
+
+def _emit(text: str, out: str | None = None) -> None:
+    """Write a command's output: to stdout, or to the file ``out`` unless it is ``-``."""
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-
-
-def _emit_csv(rows: Iterable[Sequence[Any]], out: str | None) -> None:
-    """Write rows, the header first, as CSV with bools as ``true``/``false``."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows([str(v).lower() if isinstance(v, bool) else v for v in row] for row in rows)
-    _emit(buffer.getvalue(), out)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -126,21 +110,19 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if report is not None:
         payload["oracle"] = report_to_dict(report) | {"agrees": report.member == verdict.member}
     if args.fmt == "json":
-        print(json.dumps(payload, indent=2))
+        text = _json(payload)
     else:
-        status = "member" if verdict.member else "non-member"
-        print(f"({payload['alpha']}, {payload['beta']}): {status}")
+        text = f"({payload['alpha']}, {payload['beta']}): {'member' if verdict.member else 'non-member'}\n"
         if verdict.witness is not None:
-            params = _witness_params(verdict.witness, " ")
-            print(f"witness: {verdict.witness.kind}" + (f" {params}" if params else ""))
-        if verdict.counterexample is not None:
-            print(f"counterexample: x = {format_rat(verdict.counterexample)}")
+            text += " ".join([f"witness: {verdict.witness.kind}", *_witness_params(verdict.witness)]) + "\n"
+        if payload["counterexample"] is not None:
+            text += f"counterexample: x = {payload['counterexample']}\n"
         if report is not None:
-            agrees = "agrees" if report.member == verdict.member else "DISAGREES"
-            print(
-                f"oracle: period {format_rat(report.period)}, min {report.min_value}"
-                f" at {format_rat(report.argmin)} ({agrees})"
-            )
+            oracle = payload["oracle"]
+            agrees = "agrees" if oracle["agrees"] else "DISAGREES"
+            text += f"oracle: period {oracle['period']}, min {oracle['min_value']}"
+            text += f" at {oracle['argmin']} ({agrees})\n"
+    _emit(text)
     return 0 if verdict.member else 1
 
 
@@ -148,18 +130,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     pair = DilationPair(args.alpha, args.beta)
     report = oracle_verify(pair)
     payload = {"alpha": format_rat(pair.alpha), "beta": format_rat(pair.beta)}
-    payload.update(report_to_dict(report))
-    payload["member"] = report.member
-    if args.fmt == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        status = "member" if report.member else "non-member"
-        print(
-            f"({payload['alpha']}, {payload['beta']}): {status};"
-            f" min {report.min_value} at {format_rat(report.argmin)}"
-            f" over period {format_rat(report.period)}"
-            f" ({report.breakpoints_checked} breakpoints, {report.samples_checked} samples)"
-        )
+    payload |= report_to_dict(report) | {"member": report.member}
+    text = _json(payload) if args.fmt == "json" else (
+        "({alpha}, {beta}): {status}; min {min_value} at {argmin} over period {period}"
+        " ({breakpoints_checked} breakpoints, {samples_checked} samples)\n"
+    ).format_map(payload | {"status": "member" if report.member else "non-member"})
+    _emit(text)
     return 0 if report.member else 1
 
 
@@ -207,19 +183,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             members += member
             disagreements += not agree
             kind = "" if witness is None else witness.kind
-            params = _witness_params(witness, ";")
+            params = ";".join(_witness_params(witness))
             rows.append((alpha_text, beta_text, member, kind, params, report.min_value, agree))
-    summary = {"pairs": len(rows), "members": members, "disagreements": disagreements}
     if args.fmt == "json":
-        payload = {"rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows], "summary": summary}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        summary = {"pairs": len(rows), "members": members, "disagreements": disagreements}
+        text = _json({"rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows], "summary": summary})
     else:
-        _emit_csv([SWEEP_COLUMNS, *rows], args.out)
-    print(
-        f"sweep: {summary['pairs']} pairs, {summary['members']} members,"
-        f" {summary['disagreements']} disagreements",
-        file=sys.stderr,
-    )
+        text = _csv([SWEEP_COLUMNS, *rows])
+    _emit(text, args.out)
+    print(f"sweep: {len(rows)} pairs, {members} members, {disagreements} disagreements", file=sys.stderr)
     return 0 if disagreements == 0 else 1
 
 
@@ -245,15 +217,15 @@ def cmd_beatty(args: argparse.Namespace) -> int:
         "agree": (criterion is not None) == disjoint,
         "window": {"lo": lo, "hi": hi, "u": membership(u), "v": membership(v)},
     }
-    if args.fmt == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        crit = "none" if criterion is None else f"m={criterion[0]} n={criterion[1]}"
-        print(f"u = {payload['u']}, v = {payload['v']}")
-        print(f"criterion witness: {crit}")
-        print(f"reduced sequences disjoint: {disjoint} (agree: {payload['agree']})")
-        print(f"reduced({payload['u']}) in [{lo},{hi}]: {payload['window']['u']['reduced']}")
-        print(f"reduced({payload['v']}) in [{lo},{hi}]: {payload['window']['v']['reduced']}")
+    crit = "none" if criterion is None else f"m={criterion[0]} n={criterion[1]}"
+    text = _json(payload) if args.fmt == "json" else (
+        "u = {u}, v = {v}\n"
+        "criterion witness: {crit}\n"
+        "reduced sequences disjoint: {reduced_disjoint} (agree: {agree})\n"
+        "reduced({u}) in [{window[lo]},{window[hi]}]: {window[u][reduced]}\n"
+        "reduced({v}) in [{window[lo]},{window[hi]}]: {window[v][reduced]}\n"
+    ).format_map(payload | {"crit": crit})
+    _emit(text)
     return 0 if disjoint else 1
 
 
@@ -268,12 +240,12 @@ def cmd_frobenius(args: argparse.Namespace) -> int:
         "gap_count": len(gaps),
         "sylvester_duality": sylvester_duality_holds(sg),
     }
-    if args.fmt == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"S({sg.a}, {sg.b}): frobenius number {payload['frobenius_number']}")
-        print(f"non-realizing set: {gaps}")
-        print(f"sylvester duality: {payload['sylvester_duality']}")
+    text = _json(payload) if args.fmt == "json" else (
+        "S({a}, {b}): frobenius number {frobenius_number}\n"
+        "non-realizing set: {nonrealizing_set}\n"
+        "sylvester duality: {sylvester_duality}\n"
+    ).format_map(payload)
+    _emit(text)
     return 0
 
 
@@ -283,9 +255,9 @@ def cmd_preorder(args: argparse.Namespace) -> int:
     violation = relation.violation()
     if args.fmt == "plain":
         rows = ([label, *row] for label, row in zip(labels, relation.matrix()))
-        _emit_csv([["alpha\\beta", *labels], *rows], args.out)
+        text = _csv([["alpha\\beta", *labels], *rows])
     else:
-        payload = {
+        text = _json({
             "values": labels,
             "precedes": relation.matrix(),
             "transitivity_counterexample": None
@@ -294,8 +266,8 @@ def cmd_preorder(args: argparse.Namespace) -> int:
             "equivalence_classes": [
                 [format_rat(v) for v in cls] for cls in relation.classes()
             ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        })
+    _emit(text, args.out)
     print(
         f"preorder: {len(labels)} values, transitivity"
         f" {'violated: ' + str(violation) if violation else 'holds'}",

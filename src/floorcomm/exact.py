@@ -18,7 +18,12 @@ _RAT_PATTERN = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def rat(num: int, den: int = 1) -> Rat:
-    """Return num/den in lowest terms, sign carried on the numerator."""
+    """Return num/den in lowest terms, sign carried on the numerator.
+
+    Both parts must be ints: bool, float and any other type raise TypeError.
+    """
+    require_int(num, "numerator")
+    require_int(den, "denominator")
     if den == 0:
         raise ValueError(f"zero denominator: {num}/0")
     return Fraction(num, den)
@@ -44,17 +49,23 @@ def require_int(x: int, name: str) -> None:
 
 
 def rat_floor(x: Rat | int) -> int:
-    """Greatest integer <= x."""
+    """Greatest integer <= x; float and bool raise TypeError."""
+    if type(x) is not Fraction:
+        x = as_rat(x)
     return x.numerator // x.denominator
 
 
 def rat_ceil(x: Rat | int) -> int:
-    """Least integer >= x; equals -rat_floor(-x)."""
+    """Least integer >= x; equals -rat_floor(-x); float and bool raise TypeError."""
+    if type(x) is not Fraction:
+        x = as_rat(x)
     return -((-x.numerator) // x.denominator)
 
 
 def parse_rat(text: str) -> Rat:
-    """Parse ``p`` or ``p/q`` (q >= 1) into a canonical Rat."""
+    """Parse ``p`` or ``p/q`` (q >= 1) into a canonical Rat; a non-str raises TypeError."""
+    if not isinstance(text, str):
+        raise TypeError(f"expected a str, got {type(text).__name__}")
     match = _RAT_PATTERN.fullmatch(text.strip())
     if match is None:
         raise ValueError(f"not a rational in p or p/q form: {text!r}")
@@ -64,7 +75,9 @@ def parse_rat(text: str) -> Rat:
 
 
 def format_rat(x: Rat | int) -> str:
-    """Render in lowest terms: ``p`` for integers, ``p/q`` otherwise."""
+    """Render in lowest terms: ``p`` for integers, ``p/q`` otherwise; float and bool raise TypeError."""
+    if type(x) is not Fraction:
+        x = as_rat(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

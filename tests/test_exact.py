@@ -103,3 +103,30 @@ def test_format_examples():
 @given(rationals)
 def test_parse_format_round_trip(x):
     assert parse_rat(format_rat(x)) == x
+
+
+@pytest.mark.parametrize("num, den", [(True, 2), (2, False), (2.5, 1), (1, 2.0), ("1", 2), (Fraction(1, 2), 1)])
+def test_construction_refuses_non_ints(num, den):
+    with pytest.raises(TypeError):
+        rat(num, den)
+
+
+@pytest.mark.parametrize("function", [rat_floor, rat_ceil, format_rat])
+@pytest.mark.parametrize("value", [True, False, 2.5, 2.0, "1/2", None])
+def test_scalar_helpers_refuse_bool_float_and_other_types(function, value):
+    with pytest.raises(TypeError):
+        function(value)
+
+
+@pytest.mark.parametrize(
+    "function, expected",
+    [(rat_floor, [-3, 0, 7]), (rat_ceil, [-3, 0, 7]), (format_rat, ["-3", "0", "7"])],
+)
+def test_scalar_helpers_accept_plain_ints(function, expected):
+    assert [function(x) for x in (-3, 0, 7)] == expected
+
+
+@pytest.mark.parametrize("value", [5, Fraction(1, 2), 1.5, True, b"1/2", None])
+def test_parse_refuses_non_str(value):
+    with pytest.raises(TypeError):
+        parse_rat(value)
