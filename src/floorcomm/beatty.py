@@ -12,8 +12,9 @@ reduced set depends only on m mod num(u), which makes disjointness of two
 reduced sets decidable on one window of length lcm of the numerators.  The
 window scan reads the numerators and denominators once and tests each m with
 the same integer predicate as ``reduced_contains``; it calls nothing in the
-classifier.  The disjointness witness is the classifier's positive-line
-kernel, called on the numerators and denominators directly.
+classifier.  The disjointness witness is the package's two-generator solver
+(``semigroup._least_representation``), called on the numerators and
+denominators directly.
 
 Parameters are ints or Fractions, m is an int; float and bool raise TypeError.
 """
@@ -22,21 +23,16 @@ from __future__ import annotations
 
 from math import lcm
 
-from .classify import _positive_line
-from .exact import Rat, as_rat, require_int
+from .exact import Rat, positive_rat, require_int
+from .semigroup import _least_representation
 
-
-def _require_positive(u: Rat | int) -> Rat:
-    u = as_rat(u)
-    if u.numerator <= 0:
-        raise ValueError("Beatty parameter must be positive")
-    return u
+_POSITIVE = "Beatty parameter must be positive"
 
 
 def beatty_pos_contains(u: Rat | int, m: int) -> bool:
     """True iff floor(n*u) = m for some integer n >= 1."""
     require_int(m, "m")
-    u = _require_positive(u)
+    u = positive_rat(u, _POSITIVE)
     p, q = u.numerator, u.denominator
     n0 = max(1, -((-m * q) // p))  # least n >= 1 with n*u >= m
     return m * q <= n0 * p < (m + 1) * q
@@ -45,7 +41,7 @@ def beatty_pos_contains(u: Rat | int, m: int) -> bool:
 def beatty_contains(u: Rat | int, m: int) -> bool:
     """True iff floor(n*u) = m for some integer n."""
     require_int(m, "m")
-    u = _require_positive(u)
+    u = positive_rat(u, _POSITIVE)
     p, q = u.numerator, u.denominator
     n0 = -((-m * q) // p)  # least n with n*u >= m
     return n0 * p < (m + 1) * q
@@ -62,22 +58,20 @@ def reduced_contains(u: Rat | int, m: int) -> bool:
     Equivalently: some integer multiple of u lies strictly inside (m, m+1).
     """
     require_int(m, "m")
-    u = _require_positive(u)
+    u = positive_rat(u, _POSITIVE)
     return _in_reduced(u.numerator, u.denominator, m)
 
 
 def disjointness_witness(u: Rat | int, v: Rat | int) -> tuple[int, int] | None:
     """Find integers m, n >= 0, not both zero, with m/u + n/v = 1.
 
-    Dividing the classifier's positive line m*alpha*beta + n*alpha = beta by
-    beta gives m*alpha + n*alpha/beta = 1, which at (alpha, beta) =
-    (1/u, v/u) reads m/u + n/v = 1.  With u = p/q and v = r/s that is the
-    kernel ``_positive_line`` at alpha = q/p and beta = (r*q)/(s*p), which it
-    solves unreduced: the least-m solution, or None when no such pair exists.
+    With u = p/q and v = r/s that is m*(q*r) + n*(s*p) = p*r, the
+    two-generator equation: its least-m solution, or None when no such pair
+    exists.  It is the classifier's positive line at (alpha, beta) = (1/u, v/u).
     """
-    u, v = _require_positive(u), _require_positive(v)
-    p, q = u.numerator, u.denominator
-    return _positive_line(q, p, v.numerator * q, v.denominator * p)
+    u, v = positive_rat(u, _POSITIVE), positive_rat(v, _POSITIVE)
+    p, q, r, s = u.numerator, u.denominator, v.numerator, v.denominator
+    return _least_representation(q * r, s * p, p * r)
 
 
 def _least_common_reduced(u: Rat, v: Rat) -> int | None:
@@ -105,5 +99,5 @@ def reduced_disjoint(u: Rat | int, v: Rat | int) -> bool:
     Brute-force and independent of disjointness_witness: one window scan,
     ``_least_common_reduced``, decides.
     """
-    u, v = _require_positive(u), _require_positive(v)
+    u, v = positive_rat(u, _POSITIVE), positive_rat(v, _POSITIVE)
     return _least_common_reduced(u, v) is None

@@ -16,7 +16,9 @@ Each family condition is a linear congruence in the numerators and
 denominators, so the searches run in integer arithmetic and return the
 witness a scan in increasing m (then n) would meet first:
 
-    positive line   least m of m*(a*t) = b*t (mod s*b), one modular inverse
+    positive line   least m of m*(a*c) + n*(a*d) = b*c, one modular inverse
+                    (``semigroup._least_representation``, shared with
+                    semigroup membership and the Beatty witness)
     hyperbola       the positive line at (-beta, -alpha), n >= 1
     vertical        the test c*p <= d
     sporadic        None at once for beta <= -2/p (every sporadic beta lies
@@ -27,14 +29,14 @@ witness a scan in increasing m (then n) would meet first:
                     the two numerators with a residue test, O(lcm) steps;
                     the scan is ``integer_rounding_check``'s
 
-where alpha = a/b or -q/p, beta = c/d or -c/d and alpha/beta = s/t in
-lowest terms.  The positive and hyperbola certificates and the band exit take
-time polynomial in the bit length of the inputs; the in-band sporadic scan is
-still linear in p, and the non-member certificate in the lcm of the
-numerators.  The certificate search decides membership on its own, so a
-non-member's verdict carries an x with commutator < 0 checked by one
-commutator call, and no oracle runs here; the period oracle cross-checks
-verdicts in the CLI and the test suite.
+where alpha = a/b or -q/p and beta = c/d or -c/d in lowest terms.  The
+positive and hyperbola certificates and the band exit take time polynomial
+in the bit length of the inputs; the in-band sporadic scan is still linear
+in p, and the non-member certificate in the lcm of the numerators.  The
+certificate search decides membership on its own, so a non-member's verdict
+carries an x with commutator < 0 checked by one commutator call, and no
+oracle runs here; the period oracle cross-checks verdicts in the CLI and the
+test suite.
 """
 
 from __future__ import annotations
@@ -44,8 +46,11 @@ from fractions import Fraction
 from math import gcd
 from typing import ClassVar, Union
 
-from .exact import Rat, as_rat, require_int
-from .floorfn import DilationPair, _least_k, commutator
+from .exact import Rat, as_rat, positive_rat, require_int
+from .floorfn import _POSITIVE, DilationPair, _least_k, commutator
+from .semigroup import _least_representation
+
+_QUADRANT = "symmetries are defined on the open positive quadrant"
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,8 @@ class PositiveLinear:
     kind: ClassVar[str] = "positive_linear"
 
     def __post_init__(self) -> None:
+        if not type(self.m) is type(self.n) is int:
+            _require_int_fields(self)
         if self.m < 0 or self.n < 0 or (self.m == 0 and self.n == 0):
             raise ValueError("need m, n >= 0, not both zero")
 
@@ -84,6 +91,8 @@ class NegHyperbola:
     kind: ClassVar[str] = "neg_hyperbola"
 
     def __post_init__(self) -> None:
+        if not type(self.m) is type(self.n) is int:
+            _require_int_fields(self)
         if self.m < 0 or self.n < 1:
             raise ValueError("need m >= 0 and n >= 1")
 
@@ -97,6 +106,8 @@ class NegVertical:
     kind: ClassVar[str] = "neg_vertical"
 
     def __post_init__(self) -> None:
+        if not type(self.p) is type(self.q) is int:
+            _require_int_fields(self)
         if self.p < 1 or self.q < 1 or gcd(self.p, self.q) != 1:
             raise ValueError("need coprime p, q >= 1")
 
@@ -113,13 +124,20 @@ class NegSporadic:
     kind: ClassVar[str] = "neg_sporadic"
 
     def __post_init__(self) -> None:
+        if not type(self.p) is type(self.q) is type(self.m) is type(self.n) is type(self.r) is int:
+            _require_int_fields(self)
         if self.p < 1 or self.q < 1 or gcd(self.p, self.q) != 1:
             raise ValueError("need coprime p, q >= 1")
         if self.m < 0 or self.n < 1 or self.r < 2:
             raise ValueError("need m >= 0, n >= 1, r >= 2")
-        share = Fraction(self.m, self.p) + Fraction(self.n, self.q)
-        if not 0 < share < 1:
+        if not 0 < self.m * self.q + self.n * self.p < self.p * self.q:  # m/p + n/q, times p*q
             raise ValueError("need 0 < m/p + n/q < 1")
+
+
+def _require_int_fields(witness: PositiveLinear | NegHyperbola | NegVertical | NegSporadic) -> None:
+    """Refuse a witness field that is not an int (``exact.require_int``): bool and float raise TypeError."""
+    for name, value in vars(witness).items():
+        require_int(value, name)
 
 
 Witness = Union[AxisZero, MixedNegPos, PositiveLinear, NegHyperbola, NegVertical, NegSporadic]
@@ -150,11 +168,10 @@ class MuNu:
     nu: Rat
 
     def __post_init__(self) -> None:
-        if type(self.mu) is not Fraction or type(self.nu) is not Fraction:
-            object.__setattr__(self, "mu", as_rat(self.mu))
-            object.__setattr__(self, "nu", as_rat(self.nu))
-        if self.mu.numerator <= 0 or self.nu.numerator <= 0:
-            raise ValueError("mu, nu must be positive")
+        mu, nu = self.mu, self.nu
+        if type(mu) is not Fraction or type(nu) is not Fraction or mu.numerator <= 0 or nu.numerator <= 0:
+            object.__setattr__(self, "mu", positive_rat(mu, "mu, nu must be positive"))
+            object.__setattr__(self, "nu", positive_rat(nu, "mu, nu must be positive"))
 
 
 @dataclass(frozen=True)
@@ -172,38 +189,23 @@ class SigmaTau:
     tau: Rat
 
     def __post_init__(self) -> None:
-        if type(self.sigma) is not Fraction or type(self.tau) is not Fraction:
-            object.__setattr__(self, "sigma", as_rat(self.sigma))
-            object.__setattr__(self, "tau", as_rat(self.tau))
-        if self.sigma.numerator <= 0 or self.tau.numerator <= 0:
-            raise ValueError("sigma, tau must be positive")
+        sigma, tau = self.sigma, self.tau
+        if type(sigma) is not Fraction or type(tau) is not Fraction or sigma.numerator <= 0 or tau.numerator <= 0:
+            object.__setattr__(self, "sigma", positive_rat(sigma, "sigma, tau must be positive"))
+            object.__setattr__(self, "tau", positive_rat(tau, "sigma, tau must be positive"))
 
 
 def _positive_line(a: int, b: int, c: int, d: int) -> tuple[int, int] | None:
     """Least-m solution (m, n) of m*alpha*beta + n*alpha = beta with m, n >= 0.
 
-    With alpha = a/b, beta = c/d > 0 and alpha/beta = s/t in lowest terms the
-    equation reads m*a*t + n*s*b = b*t, so n = (b*t - m*a*t)/(s*b) is an
-    integer exactly when m*(a*t) = b*t (mod s*b).  With g = gcd(a*t, s*b) that
-    is solvable iff g | b*t, and then its least m >= 0 is one modular inverse:
-    (b*t/g) * (a*t/g)^-1 mod (s*b/g).  n decreases in m, so if it is negative
-    there, no m works.  n is unique given m and (0, 0) never solves, so this
-    is the smallest-m solution of a scan over m = 0, 1, ..., floor(1/alpha),
-    found in O(log) steps.  Neither a/b nor c/d need be in lowest terms:
-    scaling c, d leaves s/t as it is, and scaling a, b scales the congruence
-    and the n >= 0 test alike.
+    At alpha = a/b and beta = c/d > 0, times b*d, the equation reads
+    m*(a*c) + n*(a*d) = b*c: the two-generator equation, whose least-m
+    solution ``semigroup._least_representation`` finds with one modular
+    inverse.  n is unique given m and (0, 0) never solves, so this is the
+    smallest-m solution of a scan over m = 0, ..., floor(1/alpha), found in
+    O(log) steps.  Neither a/b nor c/d need be in lowest terms.
     """
-    s, t = a * d, b * c
-    g = gcd(s, t)
-    s, t = s // g, t // g
-    g = gcd(a * t, s * b)
-    if b * t % g:
-        return None
-    mod = s * b // g
-    m = b * t // g * pow(a * t // g, -1, mod) % mod
-    if m * a > b:  # n < 0
-        return None
-    return m, (b * t - m * a * t) // (s * b)
+    return _least_representation(a * c, a * d, b * c)
 
 
 def positive_witness(alpha: Rat | int, beta: Rat | int) -> PositiveLinear | None:
@@ -211,10 +213,8 @@ def positive_witness(alpha: Rat | int, beta: Rat | int) -> PositiveLinear | None
 
     Each factor is an int or a Fraction; float and bool raise TypeError.
     """
-    if type(alpha) is not Fraction or type(beta) is not Fraction:
-        alpha, beta = as_rat(alpha), as_rat(beta)
-    if alpha.numerator <= 0 or beta.numerator <= 0:
-        raise ValueError("dilation factors must be positive")
+    if type(alpha) is not Fraction or type(beta) is not Fraction or alpha.numerator <= 0 or beta.numerator <= 0:
+        alpha, beta = positive_rat(alpha, _POSITIVE), positive_rat(beta, _POSITIVE)
     mn = _positive_line(alpha.numerator, alpha.denominator, beta.numerator, beta.denominator)
     return None if mn is None else PositiveLinear(*mn)
 
@@ -363,9 +363,7 @@ def classify(pair: DilationPair) -> Verdict:
 
 def to_munu(alpha: Rat, beta: Rat) -> MuNu:
     """(alpha, beta) -> (1/alpha, beta/alpha), an involution of the open first quadrant."""
-    alpha, beta = as_rat(alpha), as_rat(beta)
-    if alpha.numerator <= 0 or beta.numerator <= 0:
-        raise ValueError("dilation factors must be positive")
+    alpha, beta = positive_rat(alpha, _POSITIVE), positive_rat(beta, _POSITIVE)
     return MuNu(1 / alpha, beta / alpha)
 
 
@@ -377,9 +375,7 @@ def from_munu(coords: MuNu) -> DilationPair:
 
 def to_sigmatau(alpha: Rat, beta: Rat) -> SigmaTau:
     """(alpha, beta) -> (alpha, alpha/beta)."""
-    alpha, beta = as_rat(alpha), as_rat(beta)
-    if alpha.numerator <= 0 or beta.numerator <= 0:
-        raise ValueError("dilation factors must be positive")
+    alpha, beta = positive_rat(alpha, _POSITIVE), positive_rat(beta, _POSITIVE)
     return SigmaTau(alpha, alpha / beta)
 
 
@@ -389,30 +385,25 @@ def from_sigmatau(coords: SigmaTau) -> DilationPair:
     return DilationPair(sigma, Fraction(sigma.numerator * tau.denominator, sigma.denominator * tau.numerator))
 
 
-def _require_positive_pair(pair: DilationPair) -> None:
-    if pair.alpha.numerator <= 0 or pair.beta.numerator <= 0:
-        raise ValueError("symmetries are defined on the open positive quadrant")
-
-
 def symmetry_scale_second(pair: DilationPair, k: int) -> DilationPair:
     """(alpha, beta) -> (alpha, k*beta), k >= 1; maps members to members."""
-    _require_positive_pair(pair)
+    alpha, beta = positive_rat(pair.alpha, _QUADRANT), positive_rat(pair.beta, _QUADRANT)
     require_int(k, "k")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return DilationPair(pair.alpha, k * pair.beta)
+    return DilationPair(alpha, k * beta)
 
 
 def symmetry_shrink(pair: DilationPair, k: int) -> DilationPair:
     """(alpha, beta) -> (alpha/k, beta/k), k >= 1; maps members to members."""
-    _require_positive_pair(pair)
+    alpha, beta = positive_rat(pair.alpha, _QUADRANT), positive_rat(pair.beta, _QUADRANT)
     require_int(k, "k")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return DilationPair(pair.alpha / k, pair.beta / k)
+    return DilationPair(alpha / k, beta / k)
 
 
 def birational(pair: DilationPair) -> DilationPair:
     """(alpha, beta) -> (alpha/beta, 1/beta), an involutive member-to-member map."""
-    _require_positive_pair(pair)
-    return DilationPair(pair.alpha / pair.beta, 1 / pair.beta)
+    alpha, beta = positive_rat(pair.alpha, _QUADRANT), positive_rat(pair.beta, _QUADRANT)
+    return DilationPair(alpha / beta, 1 / beta)

@@ -20,17 +20,15 @@ import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from typing import Any, Iterable, Sequence, get_args
+from typing import Any, Iterable, Sequence
 
 from .beatty import beatty_contains, beatty_pos_contains, reduced_contains, reduced_disjoint, disjointness_witness
 from .classify import Verdict, Witness, _witness, classify
 from .exact import Rat, format_rat, parse_rat
-from .floorfn import DilationPair, OracleReport, oracle_verify
+from .floorfn import DilationPair, OracleReport, commutator, oracle_verify
 from .plot import PlotSpec, build_plot_model, render_svg
 from .preorder import Preorder
 from .semigroup import SemigroupPair, frobenius_number, nonrealizing_set, sylvester_duality_holds
-
-_WITNESS_TYPES = {cls.kind: cls for cls in get_args(Witness)}
 
 _NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$")
 
@@ -38,13 +36,6 @@ _NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$")
 def witness_to_dict(witness: Witness | None) -> dict[str, Any] | None:
     # the fields, in declaration order
     return None if witness is None else {"kind": witness.kind} | vars(witness)
-
-
-def witness_from_dict(data: dict[str, Any] | None) -> Witness | None:
-    if data is None:
-        return None
-    cls = _WITNESS_TYPES[data["kind"]]
-    return cls(**{key: value for key, value in data.items() if key != "kind"})
 
 
 def verdict_to_dict(verdict: Verdict) -> dict[str, Any]:
@@ -58,13 +49,19 @@ def verdict_to_dict(verdict: Verdict) -> dict[str, Any]:
 
 
 def verdict_from_dict(data: dict[str, Any]) -> Verdict:
-    counterexample = data.get("counterexample")
-    return Verdict(
-        pair=DilationPair(parse_rat(data["alpha"]), parse_rat(data["beta"])),
-        member=data["member"],
-        witness=witness_from_dict(data.get("witness")),
-        counterexample=None if counterexample is None else parse_rat(counterexample),
-    )
+    """Decode a ``verdict_to_dict`` payload by deciding its pair again with ``classify``.
+
+    ValueError unless ``member`` and ``witness`` are that verdict's, and the
+    counterexample is None for a member and, for a non-member, any point where
+    the commutator is negative (kept as given, so the oracle's argmin decodes).
+    """
+    verdict = classify(DilationPair(parse_rat(data["alpha"]), parse_rat(data["beta"])))
+    x = data.get("counterexample")
+    x = None if x is None else parse_rat(x)
+    same = data.get("member") is verdict.member and data.get("witness") == witness_to_dict(verdict.witness)
+    if not (same and (verdict.member if x is None else commutator(verdict.pair, x) < 0)):
+        raise ValueError(f"not the verdict of ({data['alpha']}, {data['beta']})")
+    return verdict if x is None else replace(verdict, counterexample=x)
 
 
 def report_to_dict(report: OracleReport) -> dict[str, Any]:

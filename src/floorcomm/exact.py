@@ -42,6 +42,14 @@ def as_rat(x: Rat | int) -> Rat:
     raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
 
 
+def positive_rat(x: Rat | int, message: str) -> Rat:
+    """x as a Rat by ``as_rat``, refusing float and bool; x <= 0 raises ValueError(message)."""
+    x = as_rat(x)
+    if x.numerator <= 0:
+        raise ValueError(message)
+    return x
+
+
 def require_int(x: int, name: str) -> None:
     """Refuse an x that is not an int: bool, float and any other type raise TypeError."""
     if isinstance(x, bool) or not isinstance(x, int):

@@ -33,7 +33,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import Rat, as_rat, rat_ceil, rat_floor
+from .exact import Rat, as_rat, positive_rat, rat_ceil, rat_floor
+
+_POSITIVE = "dilation factors must be positive"
 
 
 @dataclass(frozen=True)
@@ -231,9 +233,7 @@ def integer_rounding_check(alpha: Rat | int, beta: Rat | int) -> tuple[bool, int
     least k of that scan is the least violating n >= 0.  Returns (True, None)
     or (False, n).
     """
-    alpha, beta = as_rat(alpha), as_rat(beta)
-    if alpha.numerator <= 0 or beta.numerator <= 0:
-        raise ValueError("dilation factors must be positive")
+    alpha, beta = positive_rat(alpha, _POSITIVE), positive_rat(beta, _POSITIVE)
     k = _least_k(alpha.numerator, alpha.denominator, beta.numerator, beta.denominator, 0)
     return (True, None) if k is None else (False, k)
 
@@ -243,7 +243,5 @@ def rounding_order(alpha: Rat | int, beta: Rat | int) -> bool:
 
     Holds exactly when alpha is a positive integer multiple of beta.
     """
-    alpha, beta = as_rat(alpha), as_rat(beta)
-    if alpha.numerator <= 0 or beta.numerator <= 0:
-        raise ValueError("dilation factors must be positive")
+    alpha, beta = positive_rat(alpha, _POSITIVE), positive_rat(beta, _POSITIVE)
     return (alpha / beta).denominator == 1

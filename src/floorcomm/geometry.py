@@ -18,7 +18,7 @@ from math import lcm
 
 from .beatty import _least_common_reduced
 from .classify import MuNu, SigmaTau
-from .exact import Rat, as_rat, rat_floor
+from .exact import Rat, as_rat, positive_rat, rat_floor
 
 
 # the lattice spacings are the (mu, nu) coordinates and the corner box sides
@@ -61,9 +61,7 @@ def circle_arc_contains(x: Rat | int, sigma: Rat | int) -> bool:
     For sigma > 1 the projected arc wraps and covers the whole circle; for
     sigma = 1 it is the circle minus the single point 0.
     """
-    x, sigma = as_rat(x), as_rat(sigma)
-    if sigma.numerator <= 0:
-        raise ValueError("arc length must be positive")
+    x, sigma = as_rat(x), positive_rat(sigma, "arc length must be positive")
     if sigma > 1:
         return True
     return 0 < frac_part(x) < sigma

@@ -1,10 +1,11 @@
 """Two-generator numerical semigroups: membership, Frobenius number, duality.
 
-S(a, b) = a*N + b*N for coprime a, b >= 1.  Membership is O(1): n is in
-S(a, b) iff the least multiple of b congruent to n mod a is at most n, one
-modular inverse.  The gap list and the duality check sweep all of
-[0, a*b - a - b], O(a*b) steps; they serve as ground truth for the torus
-necessity argument.
+S(a, b) = a*N + b*N for coprime a, b >= 1.  Membership is O(1): one call of
+``_least_representation``, the package's one solver of i*x + j*y = n in
+i, j >= 0 (one gcd, one modular inverse), shared with the classifier's
+positive line and the Beatty witness.  The gap list and the duality check
+sweep all of [0, a*b - a - b], O(a*b) steps; they serve as ground truth for
+the torus necessity argument.
 """
 
 from __future__ import annotations
@@ -31,16 +32,28 @@ class SemigroupPair:
             raise ValueError(f"generators must be coprime, got gcd = {gcd(self.a, self.b)}")
 
 
+def _least_representation(x: int, y: int, n: int) -> tuple[int, int] | None:
+    """Least-i solution (i, j) of i*x + j*y = n with i, j >= 0, or None; x, y >= 1.
+
+    It needs g = gcd(x, y) to divide n.  The least i >= 0 with y | n - i*x is
+    then (n/g) * (x/g)^-1 mod (y/g); j decreases in i, so if j < 0 there, no
+    i works.
+    """
+    g = gcd(x, y)
+    if n % g:
+        return None
+    mod = y // g
+    i = n // g * pow(x // g, -1, mod) % mod
+    return (i, (n - i * x) // y) if i * x <= n else None
+
+
 def sg_contains(sg: SemigroupPair, n: int) -> bool:
     """True iff n = i*a + j*b for some integers i, j >= 0; n must be an int."""
     if type(n) is not int:
         require_int(n, "n")
     if n < 0:
         raise ValueError("membership is defined on nonnegative integers")
-    if sg.a == 1 or sg.b == 1:
-        return True
-    # b*((n/b) mod a) is the least multiple of b congruent to n mod a
-    return sg.b * (n * pow(sg.b, -1, sg.a) % sg.a) <= n
+    return _least_representation(sg.a, sg.b, n) is not None
 
 
 def _require_proper(sg: SemigroupPair) -> None:

@@ -3,6 +3,7 @@
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -300,3 +301,39 @@ def test_witness_parameter_validation():
         NegSporadic(2, 3, 0, 1, 1)
     with pytest.raises(ValueError):
         NegSporadic(2, 3, 1, 3, 2)  # m/p + n/q >= 1
+    with pytest.raises(ValueError):
+        NegSporadic(2, 4, 0, 1, 2)  # p, q not coprime
+
+
+@pytest.mark.parametrize(
+    "cls, values, field, got",
+    [
+        (PositiveLinear, (True, 1), "m", "bool"),
+        (PositiveLinear, (1.5, 0), "m", "float"),
+        (PositiveLinear, (1, 2.0), "n", "float"),
+        (NegHyperbola, (0, True), "n", "bool"),
+        (NegHyperbola, (Fraction(1), 1), "m", "Fraction"),
+        (NegVertical, (1, True), "q", "bool"),
+        (NegVertical, (2.0, 1), "p", "float"),
+        (NegSporadic, (3, 2, 1, True, 2), "n", "bool"),
+        (NegSporadic, (3, 2, 1, 1, 2.0), "r", "float"),
+        (NegSporadic, (True, 2, 0, 1, 2), "p", "bool"),
+    ],
+)
+def test_witness_fields_must_be_int(cls, values, field, got):
+    with pytest.raises(TypeError, match=f"^{field} must be an int, got {got}$"):
+        cls(*values)
+
+
+def test_sporadic_share_test_matches_fractions():
+    for p in range(1, 7):
+        for q in range(1, 7):
+            for m in range(0, 8):
+                for n in range(1, 8):
+                    share = Fraction(m, p) + Fraction(n, q)
+                    try:
+                        NegSporadic(p, q, m, n, 2)
+                        accepted = True
+                    except ValueError:
+                        accepted = False
+                    assert accepted == (gcd(p, q) == 1 and 0 < share < 1), (p, q, m, n)

@@ -101,6 +101,59 @@ def test_verdict_json_round_trip(capsys):
     assert payload["counterexample"] == "3/5" and default["counterexample"] == "11/20"
 
 
+BOGUS_MEMBER = {"alpha": "2/3", "beta": "1/2", "member": True, "witness": {"kind": "positive_linear", "m": 1, "n": 1}}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        # a non-member dressed as a member, with a witness off its family
+        BOGUS_MEMBER,
+        BOGUS_MEMBER | {"counterexample": None},
+        # a member under an unknown kind, or with a non-bool member flag
+        {"alpha": "1/3", "beta": "1/2", "member": True, "witness": {"kind": "bogus"}, "counterexample": None},
+        {"alpha": "1/3", "beta": "1/2", "member": "yes", "witness": {"kind": "positive_linear", "m": 1, "n": 1}},
+        {"alpha": "1/3", "beta": "1/2", "member": 1, "witness": {"kind": "positive_linear", "m": 1, "n": 1}},
+        # a member with the wrong witness, none, or a counterexample
+        {"alpha": "1/3", "beta": "1/2", "member": True, "witness": {"kind": "positive_linear", "m": 0, "n": 3}},
+        {"alpha": "1/3", "beta": "1/2", "member": True, "witness": None, "counterexample": None},
+        {
+            "alpha": "1/3",
+            "beta": "1/2",
+            "member": True,
+            "witness": {"kind": "positive_linear", "m": 1, "n": 1},
+            "counterexample": "3",
+        },
+        # a non-member without a counterexample, or with one where the commutator is not negative
+        {"alpha": "2/3", "beta": "1/2", "member": False, "witness": None, "counterexample": None},
+        {"alpha": "2/3", "beta": "1/2", "member": False, "witness": None, "counterexample": "1"},
+        {"alpha": "2/3", "beta": "1/2", "member": False, "witness": None, "counterexample": "x"},
+    ],
+)
+def test_verdict_from_dict_refuses_what_classify_does_not_find(payload):
+    with pytest.raises(ValueError):
+        verdict_from_dict(payload)
+
+
+def test_verdict_from_dict_keeps_any_negative_counterexample(capsys):
+    # (-2, -5/3): the oracle's argmin 11/20 is not the certificate 3/5
+    assert main(["classify", "-2", "-5/3"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["counterexample"] == "11/20"
+    verdict = verdict_from_dict(payload)
+    assert verdict.counterexample == Fraction(11, 20)
+    assert verdict.pair == DilationPair(-2, Fraction(-5, 3)) and not verdict.member
+    assert verdict_to_dict(verdict) == {key: payload[key] for key in verdict_to_dict(verdict)}
+
+
+@pytest.mark.parametrize("argv", [["sweep", "-P", "0", "-Q", "2"], ["preorder", "-P", "2", "-Q", "0"]], ids=" ".join)
+def test_grid_bounds_below_one_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sweep bounds must be >= 1\n"
+
+
 def test_verify_reports_oracle(capsys):
     assert main(["verify", "2/3", "1/2"]) == 1
     payload = json.loads(capsys.readouterr().out)
