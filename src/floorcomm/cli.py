@@ -194,10 +194,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_beatty(args: argparse.Namespace) -> int:
     u, v = args.u, args.v
+    lo, hi = args.window
+    if lo > hi:
+        raise ValueError(f"empty window: LO = {lo} > HI = {hi}")
+    window = range(lo, hi + 1)
     criterion = disjointness_witness(u, v)
     disjoint = reduced_disjoint(u, v)
-    lo, hi = args.window
-    window = range(lo, hi + 1)
 
     def membership(value: Rat) -> dict[str, list[int]]:
         return {
@@ -274,17 +276,7 @@ def cmd_preorder(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    amin, amax, bmin, bmax = args.viewbox
-    spec = PlotSpec(
-        alpha_min=amin,
-        alpha_max=amax,
-        beta_min=bmin,
-        beta_max=bmax,
-        curve_bound=args.curve_bound,
-        sporadic_r_bound=args.sporadic_r_bound,
-        den_bound=args.den_bound,
-        samples=args.samples,
-    )
+    spec = PlotSpec(*args.viewbox, args.curve_bound, args.sporadic_r_bound, args.den_bound, args.samples)
     _emit(render_svg(build_plot_model(spec), width=args.width), args.out)
     return 0
 
@@ -356,10 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=(Fraction(-2), Fraction(2), Fraction(-2), Fraction(2)),
         metavar=("AMIN", "AMAX", "BMIN", "BMAX"),
     )
-    p.add_argument("-M", "--curve-bound", type=int, default=2, help="max m, n of curve families")
-    p.add_argument("-R", "--sporadic-r-bound", type=int, default=2, help="max r of sporadic points")
-    p.add_argument("-D", "--den-bound", type=int, default=2, help="max p of segments and sporadics")
-    p.add_argument("--samples", type=int, default=64, help="polyline samples per curve")
+    p.add_argument("-M", "--curve-bound", type=int, default=PlotSpec.curve_bound, help="max m, n of curve families")
+    p.add_argument("-R", "--sporadic-r-bound", type=int, default=PlotSpec.sporadic_r_bound, help="max r of sporadic points")
+    p.add_argument("-D", "--den-bound", type=int, default=PlotSpec.den_bound, help="max p of segments and sporadics")
+    p.add_argument("--samples", type=int, default=PlotSpec.samples, help="polyline samples per curve")
     p.add_argument("--width", type=int, default=640, help="SVG width in pixels")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_plot)

@@ -1,16 +1,14 @@
 """Deterministic SVG maps of the member set in the dilation plane.
 
-Rendering is split in two: ``build_plot_model`` enumerates the member
-families inside a view box as exact rational geometry (every element keeps
-the integer parameters that produced it), and ``render_svg`` turns the model
-into SVG text.  Curve samples are computed and clipped to the box as integer
-numerator/denominator pairs; only the kept points become ``Fraction``s.  The
-pixel maps are fixed integer factors per render, so each coordinate costs one
-``int / int`` true division, printed at a fixed precision of 6 decimals.
-Python rounds that division correctly, as ``float(Fraction)`` does, so the
-text equals that of mapping in ``Fraction`` arithmetic: identical specs yield
-byte-identical documents and tests can audit plotted elements without
-parsing coordinates.
+``build_plot_model`` enumerates the member families inside a view box as
+exact rational geometry, every element keeping the integer parameters that
+produced it: curve samples are clipped to the box as integer
+numerator/denominator pairs, and segments and sporadic points come from
+their integer formulas.  ``render_svg`` prints every number through one of
+two pixel maps whose integer factors are fixed per render, so each costs one
+correctly rounded ``int / int`` division, printed to 6 decimals.  Identical
+specs yield byte-identical documents, and tests can audit plotted elements
+without parsing coordinates.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exact import Rat, as_rat, format_rat, require_int
+from .exact import Rat, as_rat, format_rat, rat_floor, require_int
 
 
 @dataclass(frozen=True)
@@ -91,11 +89,6 @@ class PlotModel:
     sporadics: tuple[SporadicPoint, ...]
 
 
-def _in_box(spec: PlotSpec, point: tuple[Rat, Rat]) -> bool:
-    a, b = point
-    return spec.alpha_min <= a <= spec.alpha_max and spec.beta_min <= b <= spec.beta_max
-
-
 class _Samples:
     """count + 1 equally spaced samples of [lo, hi], kept as integer numerators.
 
@@ -146,32 +139,31 @@ class _Samples:
 
 def build_plot_model(spec: PlotSpec) -> PlotModel:
     """Enumerate every family element of the member set visible in the box."""
-    curves: list[Curve] = []
-
-    # Mixed-sign quadrant (alpha <= 0, beta >= 0): a full 2-D member region.
-    a0, a1 = spec.alpha_min, min(spec.alpha_max, Fraction(0))
-    b0, b1 = max(spec.beta_min, Fraction(0)), spec.beta_max
-    mixed = (a0, a1, b0, b1) if a0 < a1 and b0 < b1 else None
+    # The box's alpha <= 0 and beta >= 0 ranges, shared by the families below;
+    # together they bound the mixed-sign quadrant, a full 2-D member region.
+    a_lo, a_hi = spec.alpha_min, min(spec.alpha_max, Fraction(0))
+    b_lo, b_hi = max(spec.beta_min, Fraction(0)), spec.beta_max
+    mixed = (a_lo, a_hi, b_lo, b_hi) if a_lo < a_hi and b_lo < b_hi else None
 
     bound = spec.curve_bound
+    curves: list[Curve] = []
 
     # Vertical member lines alpha = 1/m, beta > 0.
-    for m in range(1, bound + 1):
-        alpha = Fraction(1, m)
-        b_lo, b_hi = max(spec.beta_min, Fraction(0)), spec.beta_max
-        if spec.alpha_min <= alpha <= spec.alpha_max and b_lo < b_hi:
-            curves.append(Curve("vertical", m, 0, ((alpha, b_lo), (alpha, b_hi))))
+    if b_lo < b_hi:
+        for m in range(1, bound + 1):
+            alpha = Fraction(1, m)
+            if spec.alpha_min <= alpha <= spec.alpha_max:
+                curves.append(Curve("vertical", m, 0, ((alpha, b_lo), (alpha, b_hi))))
 
     # Oblique member lines beta = n*alpha through the origin, alpha > 0.
     for n in range(1, bound + 1):
-        a_lo = max(Fraction(0), spec.alpha_min, spec.beta_min / n)
-        a_hi = min(spec.alpha_max, spec.beta_max / n)
-        if a_lo < a_hi:
-            curves.append(Curve("oblique", 0, n, ((a_lo, n * a_lo), (a_hi, n * a_hi))))
+        lo = max(Fraction(0), spec.alpha_min, spec.beta_min / n)
+        hi = min(spec.alpha_max, spec.beta_max / n)
+        if lo < hi:
+            curves.append(Curve("oblique", 0, n, ((lo, n * lo), (hi, n * hi))))
 
     # Positive-quadrant hyperbolas m*alpha*beta + n*alpha = beta, sampled in
     # beta (single-valued, avoids the vertical asymptote at alpha = 1/m).
-    b_lo, b_hi = max(spec.beta_min, Fraction(0)), spec.beta_max
     if b_lo < b_hi:
         samples = _Samples(b_lo, b_hi, spec.samples)
         for m in range(1, bound + 1):
@@ -181,7 +173,6 @@ def build_plot_model(spec: PlotSpec) -> PlotModel:
 
     # Negative-quadrant curves m*alpha*beta - n*beta = -alpha, i.e.
     # beta = alpha/(n - m*alpha); m = 0 degenerates to the lines beta = alpha/n.
-    a_lo, a_hi = spec.alpha_min, min(spec.alpha_max, Fraction(0))
     if a_lo < a_hi:
         samples = _Samples(a_lo, a_hi, spec.samples)
         for m in range(0, bound + 1):
@@ -191,37 +182,35 @@ def build_plot_model(spec: PlotSpec) -> PlotModel:
                     curves.append(Curve(kind, m, n, run))
 
     # Vertical member segments alpha = -q/p, beta in [-1/p, 0); p bounded by
-    # den_bound, q only by the view box.
+    # den_bound, q only by the view box: -q/p >= alpha_min.
     segments: list[VerticalSegment] = []
+    beta_hi = min(spec.beta_max, Fraction(0))
     for p in range(1, spec.den_bound + 1):
-        q = 1
-        while True:
-            alpha = Fraction(-q, p)
-            if alpha < spec.alpha_min:
-                break
-            if gcd(p, q) == 1 and alpha <= spec.alpha_max:
-                beta_lo = max(spec.beta_min, Fraction(-1, p))
-                beta_hi = min(spec.beta_max, Fraction(0))
-                if beta_lo < beta_hi:
+        beta_lo = max(spec.beta_min, Fraction(-1, p))
+        if beta_lo < beta_hi:
+            for q in range(1, rat_floor(-spec.alpha_min * p) + 1):
+                alpha = Fraction(-q, p)
+                if gcd(p, q) == 1 and alpha <= spec.alpha_max:
                     segments.append(VerticalSegment(p, q, alpha, beta_lo, beta_hi))
-            q += 1
 
-    # Sporadic member points; p, q and r all bounded by the spec.
+    # Sporadic member points alpha = -q/p, beta = -(1/p) / (1 + (m/p + n/q - 1)/r), p, q, r
+    # bounded by the spec.  With t = p*q - m*q - n*p, 0 < m/p + n/q < 1 is 0 < t < p*q
+    # and beta is -r*q / (r*p*q - t).
     sporadics: list[SporadicPoint] = []
     for p in range(1, spec.den_bound + 1):
         for q in range(1, spec.den_bound + 1):
-            if gcd(p, q) != 1:
-                continue
             alpha = Fraction(-q, p)
+            if gcd(p, q) != 1 or not spec.alpha_min <= alpha <= spec.alpha_max:
+                continue
+            pq = p * q
             for m in range(p):
                 for n in range(1, q + 1):
-                    share = Fraction(m, p) + Fraction(n, q)
-                    if not 0 < share < 1:
-                        continue
-                    for r in range(2, spec.sporadic_r_bound + 1):
-                        beta = Fraction(-1, p) / (1 + Fraction(1, r) * (share - 1))
-                        if _in_box(spec, (alpha, beta)):
-                            sporadics.append(SporadicPoint(p, q, m, n, r, alpha, beta))
+                    t = pq - m * q - n * p
+                    if 0 < t < pq:
+                        for r in range(2, spec.sporadic_r_bound + 1):
+                            beta = Fraction(-r * q, r * pq - t)
+                            if spec.beta_min <= beta <= spec.beta_max:
+                                sporadics.append(SporadicPoint(p, q, m, n, r, alpha, beta))
 
     return PlotModel(spec, mixed, tuple(curves), tuple(segments), tuple(sporadics))
 
@@ -244,17 +233,14 @@ _GROUP_ORDER = (
 )
 
 
-def _fmt(value: Rat) -> str:
-    return f"{float(value):.6f}"
-
-
 def _pixel_map(origin: Rat, span: Rat, pixels: int):
-    """The function v -> _fmt((v - origin) / span * pixels), its factors fixed once.
+    """The function v -> (v - origin) / span * pixels as 6-decimal text, its factors fixed once.
 
     (x/d - p/q) / span * pixels is (x*q*k - d*p*k) / (d*q*num(span)) with
     k = pixels*den(span).  The denominator is positive, so a zero prints as
-    0.000000 and never as -0.000000, and the one correctly rounded
-    ``int / int`` division gives the float that ``float(Fraction)`` gives.
+    0.000000 and never as -0.000000.  Python rounds the one ``int / int``
+    division correctly, so the text is that of the exact rational rounded
+    to the nearest float.
     """
     scale = pixels * span.denominator
     x_factor, d_factor = origin.denominator * scale, origin.numerator * scale
@@ -287,8 +273,8 @@ def render_svg(model: PlotModel, width: int = 640) -> str:
         a0, a1, b0, b1 = model.mixed_region
         groups["mixed-sign-region"].append(
             f'<rect x="{sx(a0)}" y="{sy(b1)}"'
-            f' width="{_fmt((a1 - a0) / a_span * width)}"'
-            f' height="{_fmt((b1 - b0) / b_span * height)}"'
+            # a0 is alpha_min and b1 is beta_max, so these are a1 - a0 and b1 - b0 in pixels
+            f' width="{sx(a1)}" height="{sy(b0)}"'
             f' fill="#bbbbbb" fill-opacity="0.35" stroke="none"/>'
         )
 
@@ -332,10 +318,10 @@ def render_svg(model: PlotModel, width: int = 640) -> str:
     ]
     if spec.alpha_min <= 0 <= spec.alpha_max:
         x0 = sx(Fraction(0))
-        lines.append(f'<line x1="{x0}" y1="0.000000" x2="{x0}" y2="{_fmt(Fraction(height))}" stroke="#888888" stroke-width="1"/>')
+        lines.append(f'<line x1="{x0}" y1="{sy(spec.beta_max)}" x2="{x0}" y2="{sy(spec.beta_min)}" stroke="#888888" stroke-width="1"/>')
     if spec.beta_min <= 0 <= spec.beta_max:
         y0 = sy(Fraction(0))
-        lines.append(f'<line x1="0.000000" y1="{y0}" x2="{_fmt(Fraction(width))}" y2="{y0}" stroke="#888888" stroke-width="1"/>')
+        lines.append(f'<line x1="{sx(spec.alpha_min)}" y1="{y0}" x2="{sx(spec.alpha_max)}" y2="{y0}" stroke="#888888" stroke-width="1"/>')
     lines.append("</g>")
     for name in _GROUP_ORDER:
         lines.append(f'<g id="{name}">')

@@ -3,9 +3,9 @@
 S(a, b) = a*N + b*N for coprime a, b >= 1.  Membership is O(1): one call of
 ``_least_representation``, the package's one solver of i*x + j*y = n in
 i, j >= 0 (one gcd, one modular inverse), shared with the classifier's
-positive line and the Beatty witness.  The gap list and the duality check
-sweep all of [0, a*b - a - b], O(a*b) steps; they serve as ground truth for
-the torus necessity argument.
+positive line and the Beatty witness.  The gap list sweeps all of [0, F] with
+F = a*b - a - b, and the duality check the pairs {n, F - n}, each once; both
+take O(a*b) steps and serve as ground truth for the torus necessity argument.
 """
 
 from __future__ import annotations
@@ -56,29 +56,24 @@ def sg_contains(sg: SemigroupPair, n: int) -> bool:
     return _least_representation(sg.a, sg.b, n) is not None
 
 
-def _require_proper(sg: SemigroupPair) -> None:
-    if sg.a == 1 or sg.b == 1:
-        raise ValueError("semigroup is all of N; no gaps exist")
-
-
 def frobenius_number(sg: SemigroupPair) -> int:
     """Largest integer not in the semigroup: a*b - a - b for coprime a, b >= 2."""
-    _require_proper(sg)
+    if sg.a == 1 or sg.b == 1:
+        raise ValueError("semigroup is all of N; no gaps exist")
     return sg.a * sg.b - sg.a - sg.b
 
 
 def nonrealizing_set(sg: SemigroupPair) -> list[int]:
-    """All nonnegative integers outside the semigroup, ascending.
-
-    Complete because nothing above the Frobenius number is missing.
-    """
-    _require_proper(sg)
+    """All nonnegative integers outside the semigroup, ascending; none exceeds the Frobenius number."""
     top = frobenius_number(sg)
     return [n for n in range(top + 1) if not sg_contains(sg, n)]
 
 
 def sylvester_duality_holds(sg: SemigroupPair) -> bool:
-    """Check n in S  <=>  a*b - a - b - n not in S, for every n in [0, a*b-a-b]."""
-    _require_proper(sg)
+    """Check n in S  <=>  F - n not in S, for every n in [0, F], F = a*b - a - b.
+
+    F = (a - 1)*(b - 1) - 1 is odd, since coprime a, b are not both even, so
+    n <= F // 2 meets each pair {n, F - n} once.
+    """
     top = frobenius_number(sg)
-    return all(sg_contains(sg, n) != sg_contains(sg, top - n) for n in range(top + 1))
+    return all(sg_contains(sg, n) != sg_contains(sg, top - n) for n in range(top // 2 + 1))

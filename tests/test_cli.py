@@ -249,6 +249,20 @@ def test_beatty_command(capsys):
     assert 2 in payload["window"]["u"]["reduced"]
 
 
+def test_beatty_reversed_window_is_usage_error(monkeypatch, capsys):
+    cli = sys.modules["floorcomm.cli"]
+
+    def no_decision(u, v):
+        raise AssertionError("the window is checked first")
+
+    monkeypatch.setattr(cli, "reduced_disjoint", no_decision)
+    monkeypatch.setattr(cli, "disjointness_witness", no_decision)
+    assert main(["beatty", "5/2", "5/3", "--window", "5", "-5", "--plain"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: empty window: LO = 5 > HI = -5\n"
+
+
 def test_frobenius_command(capsys):
     assert main(["frobenius", "3", "5"]) == 0
     payload = json.loads(capsys.readouterr().out)

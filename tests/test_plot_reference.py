@@ -25,6 +25,8 @@ FIXED_SPECS = {
     "origin_corner_positive": PlotSpec(0, 1, 0, 1, curve_bound=3, samples=9),
     "viewbox_cli": PlotSpec(-3, 3, -3, 3, curve_bound=3, den_bound=3, sporadic_r_bound=3),
     "skewed": PlotSpec(Fraction(-7, 3), Fraction(5, 2), Fraction(-1, 3), Fraction(9, 4), samples=17),
+    # 4 200 sporadic elements, with points repeated under different (m, n, r)
+    "den_bound_12": PlotSpec(-2, 2, -2, 2, den_bound=12, sporadic_r_bound=4),
 }
 
 

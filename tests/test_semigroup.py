@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from floorcomm import semigroup
 from floorcomm.geometry import CornerRect, torus_subgroup_avoids
 from floorcomm.semigroup import (
     SemigroupPair,
@@ -94,6 +95,16 @@ def test_sylvester_duality_exhaustive():
         for b in range(2, 13):
             if gcd(a, b) == 1:
                 assert sylvester_duality_holds(SemigroupPair(a, b))
+
+
+@pytest.mark.parametrize(("a", "b"), [(2, 3), (3, 5), (4, 7), (5, 9)])
+def test_sylvester_duality_fails_on_any_flipped_membership(monkeypatch, a, b):
+    # the check must look at every n in [0, F], each pair {n, F - n} included
+    sg = SemigroupPair(a, b)
+    contains = semigroup.sg_contains
+    for flipped in range(frobenius_number(sg) + 1):
+        monkeypatch.setattr(semigroup, "sg_contains", lambda s, n: contains(s, n) != (n == flipped))
+        assert not sylvester_duality_holds(sg), flipped
 
 
 def test_gap_count_identity():
