@@ -34,8 +34,7 @@ def beatty_pos_contains(u: Rat | int, m: int) -> bool:
     require_int(m, "m")
     u = positive_rat(u, _POSITIVE)
     p, q = u.numerator, u.denominator
-    n0 = max(1, -((-m * q) // p))  # least n >= 1 with n*u >= m
-    return m * q <= n0 * p < (m + 1) * q
+    return m >= p // q and -m * q % p < q  # floor(n*u) >= floor(u) for n >= 1
 
 
 def beatty_contains(u: Rat | int, m: int) -> bool:
@@ -43,8 +42,7 @@ def beatty_contains(u: Rat | int, m: int) -> bool:
     require_int(m, "m")
     u = positive_rat(u, _POSITIVE)
     p, q = u.numerator, u.denominator
-    n0 = -((-m * q) // p)  # least n with n*u >= m
-    return n0 * p < (m + 1) * q
+    return -m * q % p < q  # the least multiple of u at or above m, minus m, is below 1
 
 
 def _in_reduced(p: int, q: int, m: int) -> bool:

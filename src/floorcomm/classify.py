@@ -21,22 +21,22 @@ witness a scan in increasing m (then n) would meet first:
                     semigroup membership and the Beatty witness)
     hyperbola       the positive line at (-beta, -alpha), n >= 1
     vertical        the test c*p <= d
-    sporadic        None at once for beta <= -2/p (every sporadic beta lies
-                    in (-2/p, -1/p)); inside that band O(p/G) steps, one
-                    congruence in n for every G-th m
+    sporadic        None at once when no m <= m_top = (p*(q - 1) - t_min)//q
+                    can reach r >= 2 (every beta <= -2/p, every q = 1);
+                    else O(m_top/G) steps, one congruence in n per G-th m
     certificate     a non-member's least violating breakpoint: closed form
                     for alpha > 0 > beta, else the least k in [1, lcm] of
                     the two numerators with a residue test, O(lcm) steps;
                     the scan is ``integer_rounding_check``'s
 
 where alpha = a/b or -q/p and beta = c/d or -c/d in lowest terms.  The
-positive and hyperbola certificates and the band exit take time polynomial
-in the bit length of the inputs; the in-band sporadic scan is still linear
-in p, and the non-member certificate in the lcm of the numerators.  The
-certificate search decides membership on its own, so a non-member's verdict
-carries an x with commutator < 0 checked by one commutator call, and no
-oracle runs here; the period oracle cross-checks verdicts in the CLI and the
-test suite.
+positive and hyperbola certificates and the sporadic exit take time
+polynomial in the bit length of the inputs; the sporadic scan is still linear
+in m_top < p, and the non-member certificate in the lcm of the numerators.
+The certificate search decides membership on its own, so a non-member's
+verdict carries an x with commutator < 0 checked by one commutator call, and
+no oracle runs here; the period oracle cross-checks verdicts in the CLI and
+the test suite.
 """
 
 from __future__ import annotations
@@ -251,30 +251,31 @@ def negative_witness(alpha: Rat | int, beta: Rat | int) -> NegHyperbola | NegVer
 def _sporadic_witness(p: int, q: int, c: int, d: int) -> NegSporadic | None:
     """Lexicographically least sporadic (m, n) for alpha = -q/p, beta = -c/d < -1/p.
 
-    Band lemma: for r >= 2 and 0 < share < 1 the factor 1 + (share - 1)/r lies
-    in (1/2, 1), so every sporadic beta lies strictly inside (-2/p, -1/p);
-    beta <= -2/p (c*p >= 2*d) is decided in O(1).
+    Put K = p*c - d > 0 and t = p*q - m*q - n*p, so that share = m/p + n/q < 1
+    means t >= 1 and the defining equation gives r = t*c/(q*K).  r is an
+    integer exactly when L = q*K/gcd(q*K, c) divides t, and r >= 2 exactly
+    when t >= t_min = ceil(2*q*K/c).  n >= 1 gives t <= q*(p - m) - p, so only
+    m <= m_top = (p*(q - 1) - t_min) // q can reach t_min, and m_top < 0
+    returns None before any inverse.  The band lemma is one case: beta <= -2/p
+    gives t_min >= p*q and so m_top < 0; q = 1 is another, m_top = -t_min.
 
-    Inside the band put K = p*c - d > 0 and t = p*q - m*q - n*p, so that
-    share = m/p + n/q < 1 means t >= 1 and the defining equation gives
-    r = t*c/(q*K).  r is an integer exactly when L = q*K/gcd(q*K, c) divides
-    t, and r >= 2 exactly when t >= ceil(2*q*K/c).  The congruence
-    n*p = q*(p - m) (mod L) is solvable iff G = gcd(p, L) divides m (p and q
-    are coprime), and then its least n >= 1 comes from one precomputed
-    inverse; t decreases in n, so that n gives the largest t for its m, and
-    t >= 1 already bounds n <= q.  The scan over m = 0, G, 2G, ... keeps the
-    lexicographic (m, n) order in O(p/G) integer steps; a polynomial bound
-    here is a two-dimensional lattice-point problem left open.
+    The congruence n*p = q*(p - m) (mod L) is solvable iff G = gcd(p, L)
+    divides m (p and q are coprime), and then its least n >= 1 comes from one
+    precomputed inverse; t decreases in n, so that n gives the largest t for
+    its m.  The scan over m = 0, G, 2G, ..., m_top keeps the lexicographic
+    (m, n) order in O(m_top/G) integer steps; a polynomial bound here is a
+    two-dimensional lattice-point problem left open.
     """
-    if c * p >= 2 * d:
-        return None
     qk = q * (p * c - d)
-    ell = qk // gcd(qk, c)  # L
     t_min = -(-2 * qk // c)  # >= 1, since q*K >= 1
+    m_top = (p * (q - 1) - t_min) // q
+    if m_top < 0:
+        return None
+    ell = qk // gcd(qk, c)  # L
     g = gcd(p, ell)
     mod = ell // g
     inv = pow(p // g, -1, mod)
-    for m in range(0, p, g):
+    for m in range(0, m_top + 1, g):
         top = q * (p - m)
         n = top // g * inv % mod or mod
         t = top - n * p

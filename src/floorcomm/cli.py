@@ -201,12 +201,11 @@ def cmd_beatty(args: argparse.Namespace) -> int:
     criterion = disjointness_witness(u, v)
     disjoint = reduced_disjoint(u, v)
 
+    flavors = {"pos": beatty_pos_contains, "full": beatty_contains} if args.fmt == "json" else {}
+    flavors["reduced"] = reduced_contains  # the only lists --plain prints
+
     def membership(value: Rat) -> dict[str, list[int]]:
-        return {
-            "pos": [m for m in window if beatty_pos_contains(value, m)],
-            "full": [m for m in window if beatty_contains(value, m)],
-            "reduced": [m for m in window if reduced_contains(value, m)],
-        }
+        return {name: [m for m in window if contains(value, m)] for name, contains in flavors.items()}
 
     payload = {
         "u": format_rat(u),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exact import Rat, as_rat, format_rat, rat_floor, require_int
+from .exact import Rat, as_rat, format_rat, rat_ceil, rat_floor, require_int
 
 
 @dataclass(frozen=True)
@@ -181,36 +181,32 @@ def build_plot_model(spec: PlotSpec) -> PlotModel:
                 for run in samples.runs(n, -m, spec.beta_min, spec.beta_max):
                     curves.append(Curve(kind, m, n, run))
 
-    # Vertical member segments alpha = -q/p, beta in [-1/p, 0); p bounded by
-    # den_bound, q only by the view box: -q/p >= alpha_min.
+    # One walk over the coprime (p, q) with p <= den_bound and -q/p in the box: the
+    # segment alpha = -q/p, beta in [-1/p, 0), and, for q <= den_bound, the sporadic
+    # points alpha = -q/p, beta = -(1/p) / (1 + (m/p + n/q - 1)/r) with r bounded by
+    # the spec.  With t = p*q - m*q - n*p the n range is t > 0, and n >= 1 gives
+    # t < p*q, so 0 < m/p + n/q < 1; beta is -r*q / (r*p*q - t).
     segments: list[VerticalSegment] = []
+    sporadics: list[SporadicPoint] = []
     beta_hi = min(spec.beta_max, Fraction(0))
     for p in range(1, spec.den_bound + 1):
         beta_lo = max(spec.beta_min, Fraction(-1, p))
-        if beta_lo < beta_hi:
-            for q in range(1, rat_floor(-spec.alpha_min * p) + 1):
-                alpha = Fraction(-q, p)
-                if gcd(p, q) == 1 and alpha <= spec.alpha_max:
-                    segments.append(VerticalSegment(p, q, alpha, beta_lo, beta_hi))
-
-    # Sporadic member points alpha = -q/p, beta = -(1/p) / (1 + (m/p + n/q - 1)/r), p, q, r
-    # bounded by the spec.  With t = p*q - m*q - n*p, 0 < m/p + n/q < 1 is 0 < t < p*q
-    # and beta is -r*q / (r*p*q - t).
-    sporadics: list[SporadicPoint] = []
-    for p in range(1, spec.den_bound + 1):
-        for q in range(1, spec.den_bound + 1):
+        for q in range(max(1, rat_ceil(-spec.alpha_max * p)), rat_floor(-spec.alpha_min * p) + 1):
+            if gcd(p, q) != 1:
+                continue
             alpha = Fraction(-q, p)
-            if gcd(p, q) != 1 or not spec.alpha_min <= alpha <= spec.alpha_max:
+            if beta_lo < beta_hi:
+                segments.append(VerticalSegment(p, q, alpha, beta_lo, beta_hi))
+            if q > spec.den_bound:
                 continue
             pq = p * q
             for m in range(p):
-                for n in range(1, q + 1):
+                for n in range(1, (pq - m * q - 1) // p + 1):
                     t = pq - m * q - n * p
-                    if 0 < t < pq:
-                        for r in range(2, spec.sporadic_r_bound + 1):
-                            beta = Fraction(-r * q, r * pq - t)
-                            if spec.beta_min <= beta <= spec.beta_max:
-                                sporadics.append(SporadicPoint(p, q, m, n, r, alpha, beta))
+                    for r in range(2, spec.sporadic_r_bound + 1):
+                        beta = Fraction(-r * q, r * pq - t)
+                        if spec.beta_min <= beta <= spec.beta_max:
+                            sporadics.append(SporadicPoint(p, q, m, n, r, alpha, beta))
 
     return PlotModel(spec, mixed, tuple(curves), tuple(segments), tuple(sporadics))
 

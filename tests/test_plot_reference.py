@@ -27,6 +27,8 @@ FIXED_SPECS = {
     "skewed": PlotSpec(Fraction(-7, 3), Fraction(5, 2), Fraction(-1, 3), Fraction(9, 4), samples=17),
     # 4 200 sporadic elements, with points repeated under different (m, n, r)
     "den_bound_12": PlotSpec(-2, 2, -2, 2, den_bound=12, sporadic_r_bound=4),
+    # segments at p = 1, 2 with q up to 9, past den_bound; sporadic points at p <= 4, all with q >= 2
+    "negative_box_q_above_one": PlotSpec(-5, Fraction(-3, 4), Fraction(-3, 2), Fraction(-1, 3), den_bound=5, sporadic_r_bound=3),
 }
 
 

@@ -1,5 +1,6 @@
 """Closed-form witness searches against the reference linear scans."""
 
+import importlib
 from fractions import Fraction
 from math import gcd
 
@@ -106,6 +107,24 @@ def test_negative_non_member_below_band_at_large_p():
     alpha, beta = Fraction(-2, p), Fraction(-3, d)
     assert alpha / beta < 1 and beta <= Fraction(-2, p)
     assert negative_witness(alpha, beta) is None
+
+
+def test_sporadic_exit_comes_before_the_modular_inverse(monkeypatch):
+    # No m reaches t >= t_min when q = 1 or beta <= -2/p, so the search returns
+    # None before it computes pow(p // G, -1, L // G).  The module comes from
+    # importlib because the attribute floorcomm.classify is the function classify.
+    module = importlib.import_module("floorcomm.classify")
+
+    def no_inverse(*args):
+        raise AssertionError(f"pow{args} called")
+
+    monkeypatch.setattr(module, "pow", no_inverse, raising=False)
+    for p, q, c, d in [(3, 1, 5, 8), (10000019, 1, 3, 20000039), (BIG + 1, 1, 3, 2 * BIG + 3)]:
+        assert d < c * p < 2 * d
+        assert module._sporadic_witness(p, q, c, d) is None
+    for p, q, c, d in [(5, 3, 2, 5), (BIG + 1, 2, 3, BIG + 3)]:
+        assert c * p >= 2 * d
+        assert module._sporadic_witness(p, q, c, d) is None
 
 
 def test_sporadic_member_at_large_p():
