@@ -86,6 +86,4 @@ def format_rat(x: Rat | int) -> str:
     """Render in lowest terms: ``p`` for integers, ``p/q`` otherwise; float and bool raise TypeError."""
     if type(x) is not Fraction:
         x = as_rat(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(x)

@@ -2,13 +2,13 @@
 
 ``build_plot_model`` enumerates the member families inside a view box as
 exact rational geometry, every element keeping the integer parameters that
-produced it: curve samples are clipped to the box as integer
-numerator/denominator pairs, and segments and sporadic points come from
-their integer formulas.  ``render_svg`` prints every number through one of
-two pixel maps whose integer factors are fixed per render, so each costs one
-correctly rounded ``int / int`` division, printed to 6 decimals.  Identical
-specs yield byte-identical documents, and tests can audit plotted elements
-without parsing coordinates.
+produced it: curve samples are clipped to the box as integer numerator/
+denominator pairs, and segments and sporadic points, each point once, come
+from their integer formulas.  ``render_svg`` prints every number through one
+of two pixel maps whose integer factors are fixed per render, so each costs
+one correctly rounded ``int / int`` division, printed to 6 decimals.
+Identical specs yield byte-identical documents, and tests can audit plotted
+elements without parsing coordinates.
 """
 
 from __future__ import annotations
@@ -69,12 +69,12 @@ class VerticalSegment:
 
 @dataclass(frozen=True)
 class SporadicPoint:
-    """Isolated member point in the negative quadrant."""
+    """Isolated member point in the negative quadrant, one per (alpha, beta)."""
 
     p: int
     q: int
-    m: int
-    n: int
+    m: int  # the least (m, n, r) with r <= sporadic_r_bound that reaches the
+    n: int  # point; classify's witness for the same pair can differ
     r: int
     alpha: Rat
     beta: Rat
@@ -184,8 +184,8 @@ def build_plot_model(spec: PlotSpec) -> PlotModel:
     # One walk over the coprime (p, q) with p <= den_bound and -q/p in the box: the
     # segment alpha = -q/p, beta in [-1/p, 0), and, for q <= den_bound, the sporadic
     # points alpha = -q/p, beta = -(1/p) / (1 + (m/p + n/q - 1)/r) with r bounded by
-    # the spec.  With t = p*q - m*q - n*p the n range is t > 0, and n >= 1 gives
-    # t < p*q, so 0 < m/p + n/q < 1; beta is -r*q / (r*p*q - t).
+    # the spec.  The n range keeps t = p*q - m*q - n*p in (0, p*q), and beta is
+    # -r*q / (r*p*q - t), a function of t/r, kept once at its least (m, n, r).
     segments: list[VerticalSegment] = []
     sporadics: list[SporadicPoint] = []
     beta_hi = min(spec.beta_max, Fraction(0))
@@ -200,12 +200,13 @@ def build_plot_model(spec: PlotSpec) -> PlotModel:
             if q > spec.den_bound:
                 continue
             pq = p * q
+            seen: set[Rat] = set()
             for m in range(p):
                 for n in range(1, (pq - m * q - 1) // p + 1):
-                    t = pq - m * q - n * p
                     for r in range(2, spec.sporadic_r_bound + 1):
-                        beta = Fraction(-r * q, r * pq - t)
-                        if spec.beta_min <= beta <= spec.beta_max:
+                        beta = Fraction(-r * q, (r - 1) * pq + m * q + n * p)
+                        if spec.beta_min <= beta <= spec.beta_max and beta not in seen:
+                            seen.add(beta)
                             sporadics.append(SporadicPoint(p, q, m, n, r, alpha, beta))
 
     return PlotModel(spec, mixed, tuple(curves), tuple(segments), tuple(sporadics))

@@ -97,13 +97,15 @@ def test_negative_witness_absent():
 
 
 def test_sporadic_formula_reproduces_beta():
-    for alpha, beta in [
-        (Fraction(-2), Fraction(-4, 3)),
-        (Fraction(-3, 4), Fraction(-9, 28)),
-        (Fraction(-3, 2), Fraction(-3, 4)),
+    for alpha, beta, kind in [
+        (Fraction(-2), Fraction(-4, 3), NegSporadic),
+        (Fraction(-3, 4), Fraction(-9, 28), NegSporadic),
+        # on the sporadic formula with (p, q, m, n, r) = (2, 3, 0, 1, 2), but the hyperbola comes first
+        (Fraction(-3, 2), Fraction(-3, 4), NegHyperbola),
     ]:
         witness = negative_witness(alpha, beta)
-        if isinstance(witness, NegSporadic):
+        assert type(witness) is kind, witness
+        if kind is NegSporadic:
             share = Fraction(witness.m, witness.p) + Fraction(witness.n, witness.q)
             rebuilt = -Fraction(1, witness.p) / (1 + Fraction(1, witness.r) * (share - 1))
             assert rebuilt == beta

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -410,6 +411,13 @@ def test_plot_matches_golden_file(tmp_path):
     out = tmp_path / "plot.svg"
     assert main(["plot", "--out", str(out)]) == 0
     assert out.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_plot_draws_each_sporadic_point_once(capsys):
+    assert main(["plot", "-D", "12", "-R", "4"]) == 0
+    circles = [line for line in capsys.readouterr().out.splitlines() if line.startswith("<circle")]
+    points = {re.search(r'data-alpha="([^"]+)" data-beta="([^"]+)"', line).groups() for line in circles}
+    assert len(circles) == len(points) == 3164
 
 
 def test_plot_deterministic(tmp_path):

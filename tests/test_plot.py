@@ -2,10 +2,11 @@
 
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from floorcomm.classify import is_member
+from floorcomm.classify import NegSporadic, is_member, negative_witness
 from floorcomm.floorfn import DilationPair
 from floorcomm.plot import PlotSpec, SporadicPoint, build_plot_model, render_svg
 
@@ -76,6 +77,34 @@ def test_plotted_families_reclassify_as_members():
         midpoint = (seg.beta_lo + seg.beta_hi) / 2
         assert is_member(DilationPair(seg.alpha, midpoint)), seg
         assert is_member(DilationPair(seg.alpha, Fraction(-1, seg.p)))
+
+
+def test_each_sporadic_point_is_plotted_once():
+    model = build_plot_model(_spec(den_bound=12, sporadic_r_bound=4))
+    points = {(point.alpha, point.beta) for point in model.sporadics}
+    assert len(model.sporadics) == len(points) == 3164
+
+
+def test_every_sporadic_witness_within_the_bounds_is_plotted():
+    spec = _spec(den_bound=6, sporadic_r_bound=4)
+    plotted = {(point.alpha, point.beta) for point in build_plot_model(spec).sporadics}
+    witnessed = 0
+    for p in range(1, 7):
+        for q in range(1, min(2 * p, 6) + 1):  # alpha = -q/p >= -2, q <= den_bound
+            if gcd(p, q) != 1:
+                continue
+            alpha = Fraction(-q, p)
+            # beta = -c/d strictly between -2/p and -1/p, the sporadic band
+            for d in range(1, 241):
+                for c in range(d // p + 1, (2 * d - 1) // p + 1):
+                    if gcd(c, d) != 1:
+                        continue
+                    beta = Fraction(-c, d)
+                    witness = negative_witness(alpha, beta)
+                    if isinstance(witness, NegSporadic) and witness.r <= spec.sporadic_r_bound:
+                        witnessed += 1
+                        assert (alpha, beta) in plotted, witness
+    assert witnessed == 75
 
 
 def test_hyperbola_samples_lie_on_their_curves():
