@@ -11,129 +11,93 @@ ships the equivalent criteria the classification rests on: integer rounding
 comparisons, reduced Beatty sequence disjointness, lattice avoidance of the
 enlarged diagonal, torus corner-rectangle avoidance, and two-generator
 numerical semigroup membership.
+
+``import floorcomm`` loads ``classify`` and the three modules it runs on,
+``exact``, ``floorfn`` and ``semigroup``.  Every other name of ``__all__`` is
+imported from its module on first use (PEP 562 module ``__getattr__``) and
+then kept here, so ``beatty``, ``geometry``, ``preorder`` and ``plot`` load
+only when one of their names is read or they are imported themselves.
 """
 
-from .beatty import (
-    beatty_contains,
-    beatty_pos_contains,
-    disjointness_witness,
-    reduced_contains,
-    reduced_disjoint,
-)
-from .classify import (
-    AxisZero,
-    MixedNegPos,
-    MuNu,
-    NegHyperbola,
-    NegSporadic,
-    NegVertical,
-    PositiveLinear,
-    SigmaTau,
-    Verdict,
-    Witness,
-    birational,
-    classify,
-    from_munu,
-    from_sigmatau,
-    is_member,
-    negative_witness,
-    positive_witness,
-    symmetry_scale_second,
-    symmetry_shrink,
-    to_munu,
-    to_sigmatau,
-)
-from .exact import Rat, as_rat, format_rat, parse_rat, rat, rat_ceil, rat_floor
-from .floorfn import (
-    DilationPair,
-    OracleReport,
-    commutator,
-    dilated_floor,
-    integer_rounding_check,
-    lower_round,
-    oracle_verify,
-    rounding_order,
-    upper_round,
-)
-from .geometry import (
-    CornerRect,
-    LatticeParams,
-    circle_arc_contains,
-    frac_part,
-    in_enlarged_diagonal,
-    lattice_diag_disjoint,
-    torus_point_in_corner,
-    torus_subgroup_avoids,
-)
-from .plot import PlotModel, PlotSpec, build_plot_model, render_svg
-from .preorder import Preorder, audit_transitivity, equivalence_classes, equivalent, precedes
-from .semigroup import SemigroupPair, frobenius_number, nonrealizing_set, sg_contains, sylvester_duality_holds
+from importlib import import_module
+
+# Bound now, not on first use: importing the submodule ``floorcomm.classify``
+# sets the package attribute ``classify`` to that module, which would then
+# hide the function from ``__getattr__``.
+from .classify import classify
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxisZero",
-    "CornerRect",
-    "DilationPair",
-    "LatticeParams",
-    "MixedNegPos",
-    "MuNu",
-    "NegHyperbola",
-    "NegSporadic",
-    "NegVertical",
-    "OracleReport",
-    "PlotModel",
-    "PlotSpec",
-    "PositiveLinear",
-    "Preorder",
-    "Rat",
-    "SemigroupPair",
-    "SigmaTau",
-    "Verdict",
-    "Witness",
-    "as_rat",
-    "audit_transitivity",
-    "beatty_contains",
-    "beatty_pos_contains",
-    "birational",
-    "build_plot_model",
-    "circle_arc_contains",
-    "classify",
-    "commutator",
-    "dilated_floor",
-    "disjointness_witness",
-    "equivalence_classes",
-    "equivalent",
-    "format_rat",
-    "frac_part",
-    "from_munu",
-    "from_sigmatau",
-    "frobenius_number",
-    "in_enlarged_diagonal",
-    "integer_rounding_check",
-    "is_member",
-    "lattice_diag_disjoint",
-    "lower_round",
-    "negative_witness",
-    "nonrealizing_set",
-    "oracle_verify",
-    "parse_rat",
-    "positive_witness",
-    "precedes",
-    "rat",
-    "rat_ceil",
-    "rat_floor",
-    "reduced_contains",
-    "reduced_disjoint",
-    "render_svg",
-    "rounding_order",
-    "sg_contains",
-    "sylvester_duality_holds",
-    "symmetry_scale_second",
-    "symmetry_shrink",
-    "to_munu",
-    "to_sigmatau",
-    "torus_point_in_corner",
-    "torus_subgroup_avoids",
-    "upper_round",
-]
+_EXPORTS = {
+    "beatty": (
+        "beatty_contains",
+        "beatty_pos_contains",
+        "disjointness_witness",
+        "reduced_contains",
+        "reduced_disjoint",
+    ),
+    "classify": (
+        "AxisZero",
+        "MixedNegPos",
+        "MuNu",
+        "NegHyperbola",
+        "NegSporadic",
+        "NegVertical",
+        "PositiveLinear",
+        "SigmaTau",
+        "Verdict",
+        "Witness",
+        "birational",
+        "classify",
+        "from_munu",
+        "from_sigmatau",
+        "is_member",
+        "negative_witness",
+        "positive_witness",
+        "symmetry_scale_second",
+        "symmetry_shrink",
+        "to_munu",
+        "to_sigmatau",
+    ),
+    "exact": ("Rat", "as_rat", "format_rat", "parse_rat", "rat", "rat_ceil", "rat_floor"),
+    "floorfn": (
+        "DilationPair",
+        "OracleReport",
+        "commutator",
+        "dilated_floor",
+        "integer_rounding_check",
+        "lower_round",
+        "oracle_verify",
+        "rounding_order",
+        "upper_round",
+    ),
+    "geometry": (
+        "CornerRect",
+        "LatticeParams",
+        "circle_arc_contains",
+        "frac_part",
+        "in_enlarged_diagonal",
+        "lattice_diag_disjoint",
+        "torus_point_in_corner",
+        "torus_subgroup_avoids",
+    ),
+    "plot": ("PlotModel", "PlotSpec", "build_plot_model", "render_svg"),
+    "preorder": ("Preorder", "audit_transitivity", "equivalence_classes", "equivalent", "precedes"),
+    "semigroup": ("SemigroupPair", "frobenius_number", "nonrealizing_set", "sg_contains", "sylvester_duality_holds"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    """Import the module that defines ``name``, keep the name here, and return it."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -47,7 +47,7 @@ from math import gcd
 from typing import ClassVar, Union
 
 from .exact import Rat, as_rat, positive_rat, require_int
-from .floorfn import _POSITIVE, DilationPair, _least_k, commutator
+from .floorfn import _POSITIVE, DilationPair, _least_k, commutator, require_pair
 from .semigroup import _least_representation
 
 _QUADRANT = "symmetries are defined on the open positive quadrant"
@@ -303,6 +303,8 @@ def _witness(alpha: Rat, beta: Rat) -> Witness | None:
 
 def is_member(pair: DilationPair) -> bool:
     """Membership by sign dispatch and witness search, without the oracle."""
+    if type(pair) is not DilationPair:
+        require_pair(pair)
     return _witness(pair.alpha, pair.beta) is not None
 
 
@@ -353,6 +355,8 @@ def classify(pair: DilationPair) -> Verdict:
     independently, so a non-member without a certificate, or a certificate
     whose commutator is not negative, is a bug and raises RuntimeError.
     """
+    if type(pair) is not DilationPair:
+        require_pair(pair)
     witness = _witness(pair.alpha, pair.beta)
     if witness is not None:
         return Verdict(pair, True, witness, None)
@@ -388,6 +392,8 @@ def from_sigmatau(coords: SigmaTau) -> DilationPair:
 
 def symmetry_scale_second(pair: DilationPair, k: int) -> DilationPair:
     """(alpha, beta) -> (alpha, k*beta), k >= 1; maps members to members."""
+    if type(pair) is not DilationPair:
+        require_pair(pair)
     alpha, beta = positive_rat(pair.alpha, _QUADRANT), positive_rat(pair.beta, _QUADRANT)
     require_int(k, "k")
     if k < 1:
@@ -397,6 +403,8 @@ def symmetry_scale_second(pair: DilationPair, k: int) -> DilationPair:
 
 def symmetry_shrink(pair: DilationPair, k: int) -> DilationPair:
     """(alpha, beta) -> (alpha/k, beta/k), k >= 1; maps members to members."""
+    if type(pair) is not DilationPair:
+        require_pair(pair)
     alpha, beta = positive_rat(pair.alpha, _QUADRANT), positive_rat(pair.beta, _QUADRANT)
     require_int(k, "k")
     if k < 1:
@@ -406,5 +414,7 @@ def symmetry_shrink(pair: DilationPair, k: int) -> DilationPair:
 
 def birational(pair: DilationPair) -> DilationPair:
     """(alpha, beta) -> (alpha/beta, 1/beta), an involutive member-to-member map."""
+    if type(pair) is not DilationPair:
+        require_pair(pair)
     alpha, beta = positive_rat(pair.alpha, _QUADRANT), positive_rat(pair.beta, _QUADRANT)
     return DilationPair(alpha / beta, 1 / beta)

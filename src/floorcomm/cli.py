@@ -7,12 +7,18 @@ appear only inside SVG coordinates.
 
 Each command builds its payload once and hands the one text asked for (JSON,
 plain lines, CSV or SVG) to ``_emit``, the only writer of command output.
+
+This module imports ``classify``, ``exact`` and ``floorfn`` (and through
+them ``semigroup``), which ``classify``, ``verify`` and ``sweep`` run.  The
+commands ``beatty``, ``frobenius``, ``preorder`` and ``plot`` each import the
+module they use when they run, and ``_csv`` imports ``csv``, so a start loads
+only what its command runs: ``classify`` loads none of ``beatty``,
+``geometry``, ``preorder``, ``plot`` or ``csv``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -22,13 +28,9 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
-from .beatty import beatty_contains, beatty_pos_contains, reduced_contains, reduced_disjoint, disjointness_witness
 from .classify import Verdict, Witness, _witness, classify
 from .exact import Rat, format_rat, parse_rat
 from .floorfn import DilationPair, OracleReport, commutator, oracle_verify
-from .plot import PlotSpec, build_plot_model, render_svg
-from .preorder import Preorder
-from .semigroup import SemigroupPair, frobenius_number, nonrealizing_set, sylvester_duality_holds
 
 _NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$")
 
@@ -79,6 +81,8 @@ def _json(payload: Any) -> str:
 
 def _csv(rows: Iterable[Sequence[Any]]) -> str:
     """Rows, the header first, as CSV text with bools as ``true``/``false``."""
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows([str(v).lower() if isinstance(v, bool) else v for v in row] for row in rows)
@@ -193,6 +197,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_beatty(args: argparse.Namespace) -> int:
+    from .beatty import beatty_contains, beatty_pos_contains, disjointness_witness, reduced_contains, reduced_disjoint
+
     u, v = args.u, args.v
     lo, hi = args.window
     if lo > hi:
@@ -228,6 +234,8 @@ def cmd_beatty(args: argparse.Namespace) -> int:
 
 
 def cmd_frobenius(args: argparse.Namespace) -> int:
+    from .semigroup import SemigroupPair, frobenius_number, nonrealizing_set, sylvester_duality_holds
+
     sg = SemigroupPair(args.a, args.b)
     gaps = nonrealizing_set(sg)
     payload = {
@@ -248,6 +256,8 @@ def cmd_frobenius(args: argparse.Namespace) -> int:
 
 
 def cmd_preorder(args: argparse.Namespace) -> int:
+    from .preorder import Preorder
+
     relation = Preorder.on(v for v in sweep_values(args.num_bound, args.den_bound) if v != 0)
     labels = [format_rat(v) for v in relation.values]
     violation = relation.violation()
@@ -275,7 +285,12 @@ def cmd_preorder(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    spec = PlotSpec(*args.viewbox, args.curve_bound, args.sporadic_r_bound, args.den_bound, args.samples)
+    from .plot import PlotSpec, build_plot_model, render_svg
+
+    # a count left off the command line is absent from args, so PlotSpec's own default applies
+    counts = {name: getattr(args, name) for name in ("curve_bound", "sporadic_r_bound", "den_bound", "samples")
+              if name in args}
+    spec = PlotSpec(*args.viewbox, **counts)
     _emit(render_svg(build_plot_model(spec), width=args.width), args.out)
     return 0
 
@@ -347,10 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=(Fraction(-2), Fraction(2), Fraction(-2), Fraction(2)),
         metavar=("AMIN", "AMAX", "BMIN", "BMAX"),
     )
-    p.add_argument("-M", "--curve-bound", type=int, default=PlotSpec.curve_bound, help="max m, n of curve families")
-    p.add_argument("-R", "--sporadic-r-bound", type=int, default=PlotSpec.sporadic_r_bound, help="max r of sporadic points")
-    p.add_argument("-D", "--den-bound", type=int, default=PlotSpec.den_bound, help="max p of segments and sporadics")
-    p.add_argument("--samples", type=int, default=PlotSpec.samples, help="polyline samples per curve")
+    p.add_argument("-M", "--curve-bound", type=int, default=argparse.SUPPRESS, help="max m, n of curve families")
+    p.add_argument("-R", "--sporadic-r-bound", type=int, default=argparse.SUPPRESS, help="max r of sporadic points")
+    p.add_argument("-D", "--den-bound", type=int, default=argparse.SUPPRESS, help="max p of segments and sporadics")
+    p.add_argument("--samples", type=int, default=argparse.SUPPRESS, help="polyline samples per curve")
     p.add_argument("--width", type=int, default=640, help="SVG width in pixels")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_plot)

@@ -55,6 +55,16 @@ class DilationPair:
             object.__setattr__(self, "beta", as_rat(self.beta))
 
 
+def require_pair(pair: DilationPair) -> None:
+    """Refuse a pair that is not a DilationPair: any other type raises TypeError naming the class.
+
+    Callers test ``type(pair) is not DilationPair`` first, so an exact
+    DilationPair costs one comparison and no call.
+    """
+    if not isinstance(pair, DilationPair):
+        raise TypeError(f"expected a DilationPair, got {type(pair).__name__}")
+
+
 @dataclass(frozen=True)
 class OracleReport:
     """Certified minimum of the commutator over one full period.
@@ -89,6 +99,8 @@ def commutator(pair: DilationPair, x: Rat | int) -> int:
     inner floors are (c*N)//(d*M) and (a*N)//(b*M), so four integer floor
     divisions give the value; a float or bool x raises TypeError.
     """
+    if type(pair) is not DilationPair:
+        require_pair(pair)
     a, b = pair.alpha.numerator, pair.alpha.denominator
     c, d = pair.beta.numerator, pair.beta.denominator
     x = as_rat(x)
@@ -148,6 +160,8 @@ def oracle_verify(pair: DilationPair) -> OracleReport:
     never sets the minimum: for alpha < 0 < beta it is never below 0, and
     for alpha > 0 > beta never below the gap before it.
     """
+    if type(pair) is not DilationPair:
+        require_pair(pair)
     alpha, beta = pair.alpha, pair.beta
     a, b = alpha.numerator, alpha.denominator
     c, d = beta.numerator, beta.denominator

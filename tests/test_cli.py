@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import floorcomm
+from floorcomm import beatty, preorder
 from floorcomm.classify import classify, is_member
 from floorcomm.cli import main, verdict_from_dict, verdict_to_dict
 from floorcomm.floorfn import DilationPair, oracle_verify
@@ -251,13 +252,12 @@ def test_beatty_command(capsys):
 
 
 def test_beatty_reversed_window_is_usage_error(monkeypatch, capsys):
-    cli = sys.modules["floorcomm.cli"]
-
     def no_decision(u, v):
         raise AssertionError("the window is checked first")
 
-    monkeypatch.setattr(cli, "reduced_disjoint", no_decision)
-    monkeypatch.setattr(cli, "disjointness_witness", no_decision)
+    # cmd_beatty imports them from floorcomm.beatty when it runs
+    monkeypatch.setattr(beatty, "reduced_disjoint", no_decision)
+    monkeypatch.setattr(beatty, "disjointness_witness", no_decision)
     assert main(["beatty", "5/2", "5/3", "--window", "5", "-5", "--plain"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -373,7 +373,6 @@ def test_single_pair_commands_match_golden_bytes(argv, single_pair_golden, capsy
 
 
 def test_preorder_decides_each_ordered_pair_once(monkeypatch, capsys):
-    preorder = sys.modules["floorcomm.preorder"]
     calls = []
 
     def counting_is_member(pair):
