@@ -10,21 +10,18 @@ integers, and it is constant on every open interval between consecutive
 points of (1/alpha)Z u (1/beta)Z.  The oracle therefore decides the sign of
 the commutator over all of R by evaluating finitely many exact points.
 
-It walks the two arithmetic progressions k/|alpha| and j/|beta| of one
-period as a single merged stream, two pointers and no stored points, so it
-runs in time linear in the |a|*d + |c|*b - gcd(|a|*d, |c|*b) breakpoints and
-in O(1) extra memory.  The inner floors floor(alpha*x) and floor(beta*x) are
-the counts of points passed, with a sign correction for a negative factor,
-so a step past a point of one progression recomputes one outer floor.
+It walks one period along the gaps of the sparser of the two arithmetic
+progressions k/|alpha| and j/|beta|, storing no points, so it takes
+min(|a|*d, |c|*b) steps and O(1) extra memory.  On such a gap that
+progression's inner floor is fixed and the other's runs through consecutive
+integers, so the commutator is monotone across the gap, and one sample at
+its first or its last sub-gap gives the gap's least value.
 
-A breakpoint is sampled by a continuity rule: floor(g*x) is right-continuous
-for g > 0 and left-continuous for g < 0, so a point has the value of the gap
-after it when every factor whose progression passes through it is positive,
-and of the gap before it when every such factor is negative.  Only where both
-progressions meet and exactly one factor is negative does the point have a
-value of its own, and only there is it evaluated.  The classification says
-that sample never sets the minimum, but the oracle checks that classification
-and so must not assume it; the sample stays.
+Breakpoints need no samples of their own.  floor(g*x) is right-continuous for
+g > 0 and left-continuous for g < 0, so a point of one progression only has
+the value of the gap after it or of the gap before it.  Where the two
+progressions meet, alpha*x and beta*x are both integers, and the commutator
+there is floor(alpha*beta*x) - floor(beta*alpha*x) = 0, its value at x = 0.
 """
 
 from __future__ import annotations
@@ -70,10 +67,12 @@ class OracleReport:
     """Certified minimum of the commutator over one full period.
 
     ``min_value`` is the exact global minimum over all real x; ``argmin`` is
-    the smallest point in [0, period) attaining it, in scan order.
-    ``samples_checked`` counts the samples covered, a breakpoint and a gap
-    for each of the ``breakpoints_checked`` breakpoints; by continuity most
-    breakpoints share a gap's value and are not evaluated on their own.
+    the first sample in [0, period) attaining it, in increasing order, where
+    each breakpoint comes before the gap after it.  ``breakpoints_checked``
+    counts the breakpoints of one period that the scan covers, not the steps
+    it takes, and ``samples_checked`` the samples it covers, a breakpoint and
+    a gap for each.  By continuity and monotonicity one evaluation per gap of
+    the sparser progression settles them all.
     """
 
     period: Rat
@@ -132,33 +131,32 @@ def oracle_verify(pair: DilationPair) -> OracleReport:
 
     Covers every breakpoint in [0, T) and every gap between consecutive
     breakpoints; piecewise constancy makes this a complete cover of R.
-    Breakpoints are scaled by |num(alpha)*num(beta)|, so the two progressions
-    are k*step_a and j*step_b in integers, and one two-pointer walk merges
-    them in increasing order without storing either: O(1) extra memory, one
-    step per breakpoint, and |a|*d + |c|*b - gcd(|a|*d, |c|*b) steps in all.
+    Breakpoints are scaled by |num(alpha)*num(beta)|, so the progressions are
+    k*step_a and j*step_b in integers, and a period holds step_b alpha points
+    and step_a beta points.  The scan walks the step_i = min(step_a, step_b)
+    gaps of the sparser, outer progression: O(1) work per gap, O(1) extra
+    memory.
 
-    The inner floors need no division.  If ka alpha points lie in (0, x],
-    floor(alpha*x) is ka for alpha > 0 and -ka-1 for alpha < 0, except at a
-    point of the alpha progression itself, where alpha*x = -ka is an integer;
-    the same holds for beta.  The walk carries these gap floors and bumps
-    one as it passes a point of its progression, so a step recomputes one
-    outer floor, floor(beta*floor(alpha*x)) or floor(alpha*floor(beta*x)),
-    one small-integer division, and both only where the progressions meet.
+    On outer gap j, (j*step_o, (j+1)*step_o), the outer progression's inner
+    floor is j for a positive factor and -j-1 for a negative one; on the
+    sub-gap after the k-th point of the denser progression, its inner floor
+    is k or -k-1 likewise.  So the commutator there is (p*j + q)//r -
+    (u*k + w)//v.  Walking beta gaps, the two terms are
+    floor(alpha*floor(beta*x)) and floor(beta*floor(alpha*x)); walking alpha
+    gaps, both are negated by -(z//v) = (v - 1 - z)//v and swap places.  The
+    second term is monotone in k, so the gap's least value lies on its last
+    sub-gap if u > 0 and on its first otherwise, at k = (step_o*j + e)//step_i:
+    three floor divisions per gap.  No breakpoint needs a sample of its own
+    (see the module docstring): each has a neighbouring gap's value, or 0
+    where the progressions meet.
 
-    A breakpoint's own sample follows from continuity.  floor(g*x) is
-    right-continuous for g > 0 and left-continuous for g < 0, and an inner
-    floor whose progression misses the point is the same on both sides.  So
-    where every factor whose progression passes through the point is
-    positive, the point has the value of the gap after it and comes first in
-    scan order: the gap is compared as the point, at 2*lo.  Where every such
-    factor is negative, the point has the value of the gap before it, which
-    was already compared; only a strictly smaller value replaces the best,
-    so the point is skipped.  Only where both progressions meet and exactly
-    one factor is negative does the point have a value of its own, and there
-    it is evaluated before the gap.  The scan does not rely on the theorem
-    it checks, so that sample stays although the classification predicts it
-    never sets the minimum: for alpha < 0 < beta it is never below 0, and
-    for alpha > 0 > beta never below the gap before it.
+    The argmin is the first sample that reaches the minimum in increasing
+    order, a breakpoint before the gap after it.  It lies in the first outer
+    gap that reaches the minimum, on the first sub-gap that does, which one
+    ceiling division finds.  That sub-gap (lo, hi) is reported as its left
+    end 2*lo when every factor whose progression passes through lo is
+    positive, since that point has the gap's value, and as its midpoint
+    lo + hi otherwise.
     """
     if type(pair) is not DilationPair:
         require_pair(pair)
@@ -168,59 +166,41 @@ def oracle_verify(pair: DilationPair) -> OracleReport:
     if a == 0 or c == 0:
         # both compositions vanish identically; nothing to enumerate
         return OracleReport(Fraction(1), 0, Fraction(0), 0, 0)
-    scale = abs(a) * abs(c)  # common denominator of all breakpoints
-    span = b * d * scale  # period T = b*d, scaled by `scale`
-    step_a = b * abs(c)  # |1/alpha|, scaled
-    step_b = d * abs(a)  # |1/beta|, scaled
+    step_a = b * abs(c)  # |1/alpha|, scaled; the number of beta points in [0, T)
+    step_b = d * abs(a)  # |1/beta|, scaled; the number of alpha points in [0, T)
     neg_a, neg_b = a < 0, c < 0
-    inc_a, inc_b = (-1 if neg_a else 1), (-1 if neg_b else 1)
-    # floor(alpha*x), floor(beta*x) on the gap before x = 0; the walk starts
-    # at the meet point 0 and bumps both to their values on the gap after it
-    fa, fb = neg_a - 1, neg_b - 1
-    left = right = 0  # floor(alpha*fb), floor(beta*fa) on the current gap
-    next_a = next_b = 0
-    # x = 0 is the first sample and the commutator vanishes there
-    best = best_num = 0
-    while True:
-        if next_a < next_b:  # a point of the alpha progression only
-            next_a += step_a
-            fa += inc_a
-            right = (c * fa) // d
-            if left - right < best:
-                best = left - right
-                lo = next_a - step_a
-                best_num = lo + min(next_a, next_b) if neg_a else 2 * lo
-        elif next_b < next_a:  # a point of the beta progression only
-            next_b += step_b
-            fb += inc_b
-            left = (a * fb) // b
-            if left - right < best:
-                best = left - right
-                lo = next_b - step_b
-                best_num = lo + min(next_a, next_b) if neg_b else 2 * lo
-        else:  # the progressions meet
-            lo = next_a
-            if lo == span:
-                break
-            next_a += step_a
-            next_b += step_b
-            fa += inc_a
-            fb += inc_b
-            left, right = (a * fb) // b, (c * fa) // d
-            if neg_a != neg_b:
-                # the negative factor's inner floor is one higher at the point
-                point = (a * (fb + neg_b)) // b - (c * (fa + neg_a)) // d
-                if point < best:
-                    best, best_num = point, 2 * lo
-            if left - right < best:
-                best = left - right
-                best_num = lo + min(next_a, next_b) if neg_a or neg_b else 2 * lo
-    on_a, on_b = abs(a) * d, abs(c) * b  # points of each progression in [0, T)
-    breakpoints = on_a + on_b - gcd(on_a, on_b)
+    if step_a <= step_b:  # walk the beta gaps: fb = j or -j-1, fa = k or -k-1
+        step_o, step_i = step_b, step_a
+        p, q = (-a, -a) if neg_b else (a, 0)  # floor(a*fb/b)
+        u, w = (-c, -c) if neg_a else (c, 0)  # floor(c*fa/d)
+        r, v = b, d
+    else:  # walk the alpha gaps: fa = j or -j-1, fb = k or -k-1
+        step_o, step_i = step_a, step_b
+        p, q = (c, d - 1 + c) if neg_a else (-c, d - 1)  # -floor(c*fa/d)
+        u, w = (a, b - 1 + a) if neg_b else (-a, b - 1)  # -floor(a*fb/b)
+        r, v = d, b
+    # where the second term grows with k (u > 0) the least value is on the last sub-gap
+    e = step_o - 1 if u > 0 else 0
+    best = 0  # x = 0 is the first sample and the commutator vanishes there
+    for j in range(step_i):
+        value = (p * j + q) // r - (u * ((step_o * j + e) // step_i) + w) // v
+        if value < best:
+            best, best_j = value, j
+    best_num = 0
+    if best < 0:
+        lo = best_j * step_o
+        if u > 0:  # the first k whose second term reaches the last sub-gap's
+            reach = (p * best_j + q) // r - best
+            lo = max(lo, -((w - reach * v) // u) * step_i)
+        off_a, off_b = lo % step_a, lo % step_b
+        hi = lo + min(step_a - off_a, step_b - off_b)
+        at_point = not (neg_a and off_a == 0 or neg_b and off_b == 0)
+        best_num = 2 * lo if at_point else lo + hi
+    breakpoints = step_a + step_b - gcd(step_a, step_b)
     return OracleReport(
         period=Fraction(b * d),
         min_value=best,
-        argmin=Fraction(best_num, 2 * scale),  # samples live over 2*scale
+        argmin=Fraction(best_num, 2 * abs(a) * abs(c)),  # samples live over 2*|a*c|
         breakpoints_checked=breakpoints,
         samples_checked=2 * breakpoints,
     )

@@ -5,13 +5,20 @@ S(a, b) = a*N + b*N for coprime a, b >= 1.  Membership is O(1): one call of
 i, j >= 0 (one gcd, one modular inverse), shared with the classifier's
 positive line and the Beatty witness.  The gap list sweeps all of [0, F] with
 F = a*b - a - b, and the duality check the pairs {n, F - n}, each once; both
-take O(a*b) steps and serve as ground truth for the torus necessity argument.
+take O(a*b) steps, test each n with the same modular inverse (``_gap_flags``)
+and serve as ground truth for the torus necessity argument.
+
+Every public function refuses an ``sg`` that is not a SemigroupPair with a
+TypeError naming the class.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
+from operator import ne
 
 from .exact import require_int
 
@@ -47,8 +54,20 @@ def _least_representation(x: int, y: int, n: int) -> tuple[int, int] | None:
     return (i, (n - i * x) // y) if i * x <= n else None
 
 
+def require_semigroup(sg: SemigroupPair) -> None:
+    """Refuse an ``sg`` that is not a SemigroupPair: any other type raises TypeError naming the class.
+
+    Callers test ``type(sg) is not SemigroupPair`` first, so an exact
+    SemigroupPair costs one comparison and no call.
+    """
+    if not isinstance(sg, SemigroupPair):
+        raise TypeError(f"expected a SemigroupPair, got {type(sg).__name__}")
+
+
 def sg_contains(sg: SemigroupPair, n: int) -> bool:
     """True iff n = i*a + j*b for some integers i, j >= 0; n must be an int."""
+    if type(sg) is not SemigroupPair:
+        require_semigroup(sg)
     if type(n) is not int:
         require_int(n, "n")
     if n < 0:
@@ -58,15 +77,28 @@ def sg_contains(sg: SemigroupPair, n: int) -> bool:
 
 def frobenius_number(sg: SemigroupPair) -> int:
     """Largest integer not in the semigroup: a*b - a - b for coprime a, b >= 2."""
+    if type(sg) is not SemigroupPair:
+        require_semigroup(sg)
     if sg.a == 1 or sg.b == 1:
         raise ValueError("semigroup is all of N; no gaps exist")
     return sg.a * sg.b - sg.a - sg.b
 
 
+def _gap_flags(sg: SemigroupPair, ns: range) -> Iterator[bool]:
+    """For each n of ns (all >= 0), whether n is a gap of the semigroup.
+
+    The least j >= 0 with a | n - j*b is n*binv mod a, binv = b^-1 mod a, so
+    n is a gap iff n < b*(n*binv % a): one modular inverse for all of ns.
+    """
+    a, b = sg.a, sg.b
+    binv = pow(b, -1, a)
+    return (n < b * (n * binv % a) for n in ns)
+
+
 def nonrealizing_set(sg: SemigroupPair) -> list[int]:
     """All nonnegative integers outside the semigroup, ascending; none exceeds the Frobenius number."""
-    top = frobenius_number(sg)
-    return [n for n in range(top + 1) if not sg_contains(sg, n)]
+    ns = range(frobenius_number(sg) + 1)
+    return list(compress(ns, _gap_flags(sg, ns)))
 
 
 def sylvester_duality_holds(sg: SemigroupPair) -> bool:
@@ -76,4 +108,6 @@ def sylvester_duality_holds(sg: SemigroupPair) -> bool:
     n <= F // 2 meets each pair {n, F - n} once.
     """
     top = frobenius_number(sg)
-    return all(sg_contains(sg, n) != sg_contains(sg, top - n) for n in range(top // 2 + 1))
+    half = top // 2
+    low, high = range(half + 1), range(top, top - half - 1, -1)  # n and F - n
+    return all(map(ne, _gap_flags(sg, low), _gap_flags(sg, high)))

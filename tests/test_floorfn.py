@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +166,19 @@ def test_commutator_piecewise_constant(alpha, beta):
         first = commutator(pair, lo + (hi - lo) / 3)
         second = commutator(pair, lo + 2 * (hi - lo) / 3)
         assert first == second
+
+
+def test_commutator_vanishes_where_the_progressions_meet():
+    # on lcm(b/|a|, d/|c|)*Z both alpha*x and beta*x are integers, so both
+    # compositions are alpha*beta*x: the oracle samples no meet point
+    grid = signed_grid(8, 8)
+    for alpha in grid:
+        for beta in grid:
+            meet = Fraction(lcm(alpha.denominator, beta.denominator), gcd(alpha.numerator, beta.numerator))
+            assert (alpha * meet).denominator == (beta * meet).denominator == 1
+            pair = DilationPair(alpha, beta)
+            for t in range(-3, 4):
+                assert commutator(pair, t * meet) == 0, (alpha, beta, t)
 
 
 def test_oracle_argmin_attains_min_on_grid():

@@ -1,5 +1,6 @@
 """Package contract: the lazy ``floorcomm`` namespace, the import footprint of a
-command, and the TypeError every ``DilationPair`` parameter raises for another type.
+command, and the TypeError every ``DilationPair`` and ``SemigroupPair``
+parameter raises for another type.
 
 The namespace and footprint tests each run in a fresh interpreter, because a
 name resolved or a module imported by an earlier test would hide a fault.
@@ -17,6 +18,7 @@ import pytest
 
 import floorcomm
 from floorcomm.floorfn import DilationPair
+from floorcomm.semigroup import SemigroupPair
 
 # `python -c` run from here imports the package under test
 IMPORT_ROOT = Path(floorcomm.__file__).parents[1]
@@ -115,12 +117,13 @@ def test_a_command_imports_only_what_it_runs(argv, code, unused):
     assert unused.isdisjoint(child["modules"]), unused.intersection(child["modules"])
 
 
-def test_dilation_pair_parameters_refuse_other_types():
-    """Every public function with a DilationPair parameter raises TypeError naming it.
+def refusing_functions(record: type) -> set[str]:
+    """Names in ``floorcomm.__all__`` with a ``record`` parameter, each checked to refuse other types.
 
     The parameters are found from the annotations of the functions in
-    ``floorcomm.__all__``.  The result records (``Verdict`` and the like) are
-    outputs and are not checked.
+    ``floorcomm.__all__``; every one must raise TypeError naming ``record``
+    for a float, a bool and a tuple.  The result records (``Verdict`` and the
+    like) are outputs and are not checked.
     """
     guarded = set()
     for name in floorcomm.__all__:
@@ -129,14 +132,18 @@ def test_dilation_pair_parameters_refuse_other_types():
             continue
         hints = typing.get_type_hints(function)
         parameters = list(inspect.signature(function).parameters)
-        for target in (p for p in parameters if hints.get(p) is DilationPair):
+        for target in (p for p in parameters if hints.get(p) is record):
             guarded.add(name)
             for bad in (1.5, True, (Fraction(1, 3), Fraction(1, 2))):
                 # the other parameters get a valid int or rational by annotation
                 args = [bad if p == target else 2 if hints[p] is int else Fraction(1, 2) for p in parameters]
-                with pytest.raises(TypeError, match="DilationPair"):
+                with pytest.raises(TypeError, match=record.__name__):
                     function(*args)
-    assert guarded >= {
+    return guarded
+
+
+def test_dilation_pair_parameters_refuse_other_types():
+    assert refusing_functions(DilationPair) >= {
         "classify",
         "is_member",
         "oracle_verify",
@@ -144,4 +151,13 @@ def test_dilation_pair_parameters_refuse_other_types():
         "birational",
         "symmetry_scale_second",
         "symmetry_shrink",
+    }
+
+
+def test_semigroup_pair_parameters_refuse_other_types():
+    assert refusing_functions(SemigroupPair) == {
+        "sg_contains",
+        "frobenius_number",
+        "nonrealizing_set",
+        "sylvester_duality_holds",
     }

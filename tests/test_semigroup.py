@@ -76,6 +76,17 @@ def test_nonrealizing_examples():
     assert nonrealizing_set(SemigroupPair(2, 5)) == [1, 3]
 
 
+def test_gap_list_matches_reference_scan():
+    # one modular inverse per pair against the divisibility scan, per n
+    for a in range(2, 40):
+        for b in range(2, 40):
+            if gcd(a, b) != 1:
+                continue
+            sg = SemigroupPair(a, b)
+            expected = [n for n in range(frobenius_number(sg) + 1) if not reference_sg_contains(sg, n)]
+            assert nonrealizing_set(sg) == expected, (a, b)
+
+
 def test_frobenius_is_max_gap():
     for a in range(2, 13):
         for b in range(2, 13):
@@ -101,9 +112,11 @@ def test_sylvester_duality_exhaustive():
 def test_sylvester_duality_fails_on_any_flipped_membership(monkeypatch, a, b):
     # the check must look at every n in [0, F], each pair {n, F - n} included
     sg = SemigroupPair(a, b)
-    contains = semigroup.sg_contains
+    gap_flags = semigroup._gap_flags
     for flipped in range(frobenius_number(sg) + 1):
-        monkeypatch.setattr(semigroup, "sg_contains", lambda s, n: contains(s, n) != (n == flipped))
+        monkeypatch.setattr(
+            semigroup, "_gap_flags", lambda s, ns: (g != (n == flipped) for n, g in zip(ns, gap_flags(s, ns)))
+        )
         assert not sylvester_duality_holds(sg), flipped
 
 
