@@ -46,8 +46,8 @@ from fractions import Fraction
 from math import gcd
 from typing import ClassVar, Union
 
-from .exact import Rat, as_rat, positive_rat, require_int
-from .floorfn import _POSITIVE, DilationPair, _least_k, commutator, require_pair
+from .exact import Rat, as_rat, positive_rat, require_int, require_type
+from .floorfn import _POSITIVE, DilationPair, _least_k, commutator
 from .semigroup import _least_representation
 
 _QUADRANT = "symmetries are defined on the open positive quadrant"
@@ -304,7 +304,7 @@ def _witness(alpha: Rat, beta: Rat) -> Witness | None:
 def is_member(pair: DilationPair) -> bool:
     """Membership by sign dispatch and witness search, without the oracle."""
     if type(pair) is not DilationPair:
-        require_pair(pair)
+        require_type(pair, DilationPair)
     return _witness(pair.alpha, pair.beta) is not None
 
 
@@ -356,7 +356,7 @@ def classify(pair: DilationPair) -> Verdict:
     whose commutator is not negative, is a bug and raises RuntimeError.
     """
     if type(pair) is not DilationPair:
-        require_pair(pair)
+        require_type(pair, DilationPair)
     witness = _witness(pair.alpha, pair.beta)
     if witness is not None:
         return Verdict(pair, True, witness, None)
@@ -374,6 +374,8 @@ def to_munu(alpha: Rat, beta: Rat) -> MuNu:
 
 def from_munu(coords: MuNu) -> DilationPair:
     """(mu, nu) -> (1/mu, nu/mu), built from the integer products."""
+    if type(coords) is not MuNu:
+        require_type(coords, MuNu)
     a, b = coords.mu.numerator, coords.mu.denominator
     return DilationPair(Fraction(b, a), Fraction(coords.nu.numerator * b, coords.nu.denominator * a))
 
@@ -386,15 +388,22 @@ def to_sigmatau(alpha: Rat, beta: Rat) -> SigmaTau:
 
 def from_sigmatau(coords: SigmaTau) -> DilationPair:
     """(sigma, tau) -> (sigma, sigma/tau), built from the integer products."""
+    if type(coords) is not SigmaTau:
+        require_type(coords, SigmaTau)
     sigma, tau = coords.sigma, coords.tau
     return DilationPair(sigma, Fraction(sigma.numerator * tau.denominator, sigma.denominator * tau.numerator))
 
 
+def _quadrant_factors(pair: DilationPair) -> tuple[Rat, Rat]:
+    """(alpha, beta) of a DilationPair in the open positive quadrant; TypeError or ValueError otherwise."""
+    if type(pair) is not DilationPair:
+        require_type(pair, DilationPair)
+    return positive_rat(pair.alpha, _QUADRANT), positive_rat(pair.beta, _QUADRANT)
+
+
 def symmetry_scale_second(pair: DilationPair, k: int) -> DilationPair:
     """(alpha, beta) -> (alpha, k*beta), k >= 1; maps members to members."""
-    if type(pair) is not DilationPair:
-        require_pair(pair)
-    alpha, beta = positive_rat(pair.alpha, _QUADRANT), positive_rat(pair.beta, _QUADRANT)
+    alpha, beta = _quadrant_factors(pair)
     require_int(k, "k")
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -403,9 +412,7 @@ def symmetry_scale_second(pair: DilationPair, k: int) -> DilationPair:
 
 def symmetry_shrink(pair: DilationPair, k: int) -> DilationPair:
     """(alpha, beta) -> (alpha/k, beta/k), k >= 1; maps members to members."""
-    if type(pair) is not DilationPair:
-        require_pair(pair)
-    alpha, beta = positive_rat(pair.alpha, _QUADRANT), positive_rat(pair.beta, _QUADRANT)
+    alpha, beta = _quadrant_factors(pair)
     require_int(k, "k")
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -414,7 +421,5 @@ def symmetry_shrink(pair: DilationPair, k: int) -> DilationPair:
 
 def birational(pair: DilationPair) -> DilationPair:
     """(alpha, beta) -> (alpha/beta, 1/beta), an involutive member-to-member map."""
-    if type(pair) is not DilationPair:
-        require_pair(pair)
-    alpha, beta = positive_rat(pair.alpha, _QUADRANT), positive_rat(pair.beta, _QUADRANT)
+    alpha, beta = _quadrant_factors(pair)
     return DilationPair(alpha / beta, 1 / beta)

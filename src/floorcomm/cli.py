@@ -53,13 +53,17 @@ def verdict_to_dict(verdict: Verdict) -> dict[str, Any]:
 def verdict_from_dict(data: dict[str, Any]) -> Verdict:
     """Decode a ``verdict_to_dict`` payload by deciding its pair again with ``classify``.
 
-    ValueError unless ``member`` and ``witness`` are that verdict's, and the
-    counterexample is None for a member and, for a non-member, any point where
-    the commutator is negative (kept as given, so the oracle's argmin decodes).
+    ValueError unless ``data`` is such a payload, its ``member`` and ``witness``
+    are that verdict's, and the counterexample is None for a member and, for a
+    non-member, any point where the commutator is negative (kept as given, so
+    the oracle's argmin decodes).
     """
-    verdict = classify(DilationPair(parse_rat(data["alpha"]), parse_rat(data["beta"])))
-    x = data.get("counterexample")
-    x = None if x is None else parse_rat(x)
+    try:
+        alpha, beta = parse_rat(data["alpha"]), parse_rat(data["beta"])
+        x = None if data.get("counterexample") is None else parse_rat(data["counterexample"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not a verdict_to_dict payload: {exc!r}") from exc
+    verdict = classify(DilationPair(alpha, beta))
     same = data.get("member") is verdict.member and data.get("witness") == witness_to_dict(verdict.witness)
     if not (same and (verdict.member if x is None else commutator(verdict.pair, x) < 0)):
         raise ValueError(f"not the verdict of ({data['alpha']}, {data['beta']})")

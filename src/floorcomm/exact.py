@@ -56,6 +56,12 @@ def require_int(x: int, name: str) -> None:
         raise TypeError(f"{name} must be an int, got {type(x).__name__}")
 
 
+def require_type(x: object, cls: type) -> None:
+    """Refuse an x that is not a cls or a subclass: TypeError naming cls; callers test ``type(x) is not cls`` first."""
+    if not isinstance(x, cls):
+        raise TypeError(f"expected a {cls.__name__}, got {type(x).__name__}")
+
+
 def rat_floor(x: Rat | int) -> int:
     """Greatest integer <= x; float and bool raise TypeError."""
     if type(x) is not Fraction:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import Rat, as_rat, positive_rat, rat_ceil, rat_floor
+from .exact import Rat, as_rat, positive_rat, rat_ceil, rat_floor, require_type
 
 _POSITIVE = "dilation factors must be positive"
 
@@ -50,16 +50,6 @@ class DilationPair:
         if type(self.alpha) is not Fraction or type(self.beta) is not Fraction:
             object.__setattr__(self, "alpha", as_rat(self.alpha))
             object.__setattr__(self, "beta", as_rat(self.beta))
-
-
-def require_pair(pair: DilationPair) -> None:
-    """Refuse a pair that is not a DilationPair: any other type raises TypeError naming the class.
-
-    Callers test ``type(pair) is not DilationPair`` first, so an exact
-    DilationPair costs one comparison and no call.
-    """
-    if not isinstance(pair, DilationPair):
-        raise TypeError(f"expected a DilationPair, got {type(pair).__name__}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +89,7 @@ def commutator(pair: DilationPair, x: Rat | int) -> int:
     divisions give the value; a float or bool x raises TypeError.
     """
     if type(pair) is not DilationPair:
-        require_pair(pair)
+        require_type(pair, DilationPair)
     a, b = pair.alpha.numerator, pair.alpha.denominator
     c, d = pair.beta.numerator, pair.beta.denominator
     x = as_rat(x)
@@ -159,7 +149,7 @@ def oracle_verify(pair: DilationPair) -> OracleReport:
     lo + hi otherwise.
     """
     if type(pair) is not DilationPair:
-        require_pair(pair)
+        require_type(pair, DilationPair)
     alpha, beta = pair.alpha, pair.beta
     a, b = alpha.numerator, alpha.denominator
     c, d = beta.numerator, beta.denominator

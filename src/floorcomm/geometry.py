@@ -18,7 +18,7 @@ from math import lcm
 
 from .beatty import _least_common_reduced
 from .classify import MuNu, SigmaTau
-from .exact import Rat, as_rat, positive_rat, rat_floor
+from .exact import Rat, as_rat, positive_rat, rat_floor, require_type
 
 
 # the lattice spacings are the (mu, nu) coordinates and the corner box sides
@@ -40,6 +40,8 @@ def lattice_diag_disjoint(params: LatticeParams) -> tuple[bool, tuple[int, int] 
     window [0, lcm(num(mu), num(nu))) is exhaustive.  On failure returns
     lattice indices (k, l) with (k*mu, l*nu) inside a diagonal square.
     """
+    if type(params) is not MuNu:
+        require_type(params, MuNu)
     mu, nu = params.mu, params.nu
     m = _least_common_reduced(mu, nu)
     if m is None:
@@ -69,6 +71,8 @@ def circle_arc_contains(x: Rat | int, sigma: Rat | int) -> bool:
 
 def torus_point_in_corner(x: Rat | int, y: Rat | int, rect: CornerRect) -> bool:
     """True iff (x, y) mod Z^2 lies in the projected open corner rectangle."""
+    if type(rect) is not SigmaTau:
+        require_type(rect, SigmaTau)
     x, y = as_rat(x), as_rat(y)
     return circle_arc_contains(x, rect.sigma) and circle_arc_contains(y, rect.tau)
 
@@ -81,6 +85,8 @@ def torus_subgroup_avoids(rect: CornerRect) -> tuple[bool, int | None]:
     On failure returns the least hitting N >= 1.  The projected box contains
     the identity only when both sides exceed 1, and then N = 1 already hits.
     """
+    if type(rect) is not SigmaTau:
+        require_type(rect, SigmaTau)
     ps, qs = rect.sigma.numerator, rect.sigma.denominator
     pt, qt = rect.tau.numerator, rect.tau.denominator
     wrap_x, wrap_y = ps > qs, pt > qt  # a side above 1 covers its whole circle

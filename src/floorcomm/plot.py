@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exact import Rat, as_rat, format_rat, rat_ceil, rat_floor, require_int
+from .exact import Rat, as_rat, format_rat, rat_ceil, rat_floor, require_int, require_type
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,8 @@ class _Samples:
 
 def build_plot_model(spec: PlotSpec) -> PlotModel:
     """Enumerate every family element of the member set visible in the box."""
+    if type(spec) is not PlotSpec:
+        require_type(spec, PlotSpec)
     # The box's alpha <= 0 and beta >= 0 ranges, shared by the families below;
     # together they bound the mixed-sign quadrant, a full 2-D member region.
     a_lo, a_hi = spec.alpha_min, min(spec.alpha_max, Fraction(0))
@@ -252,6 +254,8 @@ def _pixel_map(origin: Rat, span: Rat, pixels: int):
 
 def render_svg(model: PlotModel, width: int = 640) -> str:
     """Serialize a plot model as standalone SVG 1.1 text; width is an int >= 1."""
+    if type(model) is not PlotModel:
+        require_type(model, PlotModel)
     require_int(width, "width")
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")

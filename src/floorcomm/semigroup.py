@@ -1,7 +1,7 @@
 """Two-generator numerical semigroups: membership, Frobenius number, duality.
 
-S(a, b) = a*N + b*N for coprime a, b >= 1.  Membership is O(1): one call of
-``_least_representation``, the package's one solver of i*x + j*y = n in
+S(a, b) = a*N + b*N for coprime a, b >= 1.  Membership is O(log): one call
+of ``_least_representation``, the package's one solver of i*x + j*y = n in
 i, j >= 0 (one gcd, one modular inverse), shared with the classifier's
 positive line and the Beatty witness.  The gap list sweeps all of [0, F] with
 F = a*b - a - b, and the duality check the pairs {n, F - n}, each once; both
@@ -9,7 +9,7 @@ take O(a*b) steps, test each n with the same modular inverse (``_gap_flags``)
 and serve as ground truth for the torus necessity argument.
 
 Every public function refuses an ``sg`` that is not a SemigroupPair with a
-TypeError naming the class.
+TypeError naming the class (``exact.require_type``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import compress
 from math import gcd
 from operator import ne
 
-from .exact import require_int
+from .exact import require_int, require_type
 
 
 @dataclass(frozen=True)
@@ -54,20 +54,10 @@ def _least_representation(x: int, y: int, n: int) -> tuple[int, int] | None:
     return (i, (n - i * x) // y) if i * x <= n else None
 
 
-def require_semigroup(sg: SemigroupPair) -> None:
-    """Refuse an ``sg`` that is not a SemigroupPair: any other type raises TypeError naming the class.
-
-    Callers test ``type(sg) is not SemigroupPair`` first, so an exact
-    SemigroupPair costs one comparison and no call.
-    """
-    if not isinstance(sg, SemigroupPair):
-        raise TypeError(f"expected a SemigroupPair, got {type(sg).__name__}")
-
-
 def sg_contains(sg: SemigroupPair, n: int) -> bool:
     """True iff n = i*a + j*b for some integers i, j >= 0; n must be an int."""
     if type(sg) is not SemigroupPair:
-        require_semigroup(sg)
+        require_type(sg, SemigroupPair)
     if type(n) is not int:
         require_int(n, "n")
     if n < 0:
@@ -78,7 +68,7 @@ def sg_contains(sg: SemigroupPair, n: int) -> bool:
 def frobenius_number(sg: SemigroupPair) -> int:
     """Largest integer not in the semigroup: a*b - a - b for coprime a, b >= 2."""
     if type(sg) is not SemigroupPair:
-        require_semigroup(sg)
+        require_type(sg, SemigroupPair)
     if sg.a == 1 or sg.b == 1:
         raise ValueError("semigroup is all of N; no gaps exist")
     return sg.a * sg.b - sg.a - sg.b

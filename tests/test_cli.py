@@ -130,6 +130,12 @@ BOGUS_MEMBER = {"alpha": "2/3", "beta": "1/2", "member": True, "witness": {"kind
         {"alpha": "2/3", "beta": "1/2", "member": False, "witness": None, "counterexample": None},
         {"alpha": "2/3", "beta": "1/2", "member": False, "witness": None, "counterexample": "1"},
         {"alpha": "2/3", "beta": "1/2", "member": False, "witness": None, "counterexample": "x"},
+        # not a verdict_to_dict payload at all: a missing key, a number for a rational, not a dict
+        {},
+        {"alpha": 1, "beta": "1/2", "member": True, "witness": {"kind": "positive_linear", "m": 1, "n": 1}},
+        {"alpha": "2/3", "beta": "1/2", "member": False, "witness": None, "counterexample": 5},
+        [],
+        None,
     ],
 )
 def test_verdict_from_dict_refuses_what_classify_does_not_find(payload):

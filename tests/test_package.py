@@ -1,11 +1,18 @@
 """Package contract: the lazy ``floorcomm`` namespace, the import footprint of a
-command, and the TypeError every ``DilationPair`` and ``SemigroupPair``
-parameter raises for another type.
+command, and the type contract that every name of ``__all__`` keeps.
+
+The type contract is read from the annotations of ``__all__``: a parameter
+typed as a library dataclass refuses any other type with a TypeError naming
+the class and accepts a subclass instance, and an ``int``, ``Rat`` or
+``Rat | int`` parameter refuses float and bool.  Every public dataclass is
+declared an input record, whose constructor is probed like a function, or an
+output record, which is not validated.
 
 The namespace and footprint tests each run in a fresh interpreter, because a
 name resolved or a module imported by an earlier test would hide a fault.
 """
 
+import dataclasses
 import inspect
 import json
 import subprocess
@@ -17,8 +24,7 @@ from pathlib import Path
 import pytest
 
 import floorcomm
-from floorcomm.floorfn import DilationPair
-from floorcomm.semigroup import SemigroupPair
+from floorcomm import DilationPair, MuNu, PlotModel, PlotSpec, Rat, SemigroupPair, SigmaTau, build_plot_model
 
 # `python -c` run from here imports the package under test
 IMPORT_ROOT = Path(floorcomm.__file__).parents[1]
@@ -104,9 +110,13 @@ UNUSED_BY_DECISIONS = {"floorcomm.plot", "floorcomm.preorder", "floorcomm.geomet
     [
         (["classify", "1/3", "1/2"], 0, UNUSED_BY_DECISIONS),
         (["verify", "2/3", "1/2"], 1, UNUSED_BY_DECISIONS),
+        (["frobenius", "3", "5"], 0, UNUSED_BY_DECISIONS),
+        (["sweep", "-P", "2", "-Q", "2", "--json"], 0, UNUSED_BY_DECISIONS),
+        (["beatty", "5/2", "5/3"], 0, UNUSED_BY_DECISIONS - {"floorcomm.beatty"}),
+        (["preorder", "-P", "2", "-Q", "2"], 0, UNUSED_BY_DECISIONS - {"floorcomm.preorder"}),
         (["plot"], 0, {"floorcomm.preorder", "floorcomm.geometry", "floorcomm.beatty"}),
     ],
-    ids=["classify", "verify", "plot"],
+    ids=["classify", "verify", "frobenius", "sweep-json", "beatty", "preorder", "plot"],
 )
 def test_a_command_imports_only_what_it_runs(argv, code, unused):
     result = run_fresh(FOOTPRINT_WRAPPER, *argv)
@@ -117,47 +127,83 @@ def test_a_command_imports_only_what_it_runs(argv, code, unused):
     assert unused.isdisjoint(child["modules"]), unused.intersection(child["modules"])
 
 
-def refusing_functions(record: type) -> set[str]:
-    """Names in ``floorcomm.__all__`` with a ``record`` parameter, each checked to refuse other types.
+# Every public dataclass is one of two kinds, by decision.  An input record
+# refuses in its constructor what its field annotations do not promise, and is
+# probed like a function.  An output record is built by the package from
+# values it has checked, so its fields are not validated; a parameter of its
+# type (``render_svg``'s PlotModel) is still guarded.
+INPUT_RECORDS = {
+    "AxisZero",
+    "CornerRect",
+    "DilationPair",
+    "LatticeParams",
+    "MixedNegPos",
+    "MuNu",
+    "NegHyperbola",
+    "NegSporadic",
+    "NegVertical",
+    "PlotSpec",
+    "PositiveLinear",
+    "SemigroupPair",
+    "SigmaTau",
+}
+OUTPUT_RECORDS = {"OracleReport", "PlotModel", "Preorder", "Verdict"}
 
-    The parameters are found from the annotations of the functions in
-    ``floorcomm.__all__``; every one must raise TypeError naming ``record``
-    for a float, a bool and a tuple.  The result records (``Verdict`` and the
-    like) are outputs and are not checked.
-    """
-    guarded = set()
-    for name in floorcomm.__all__:
-        function = getattr(floorcomm, name)
-        if not inspect.isfunction(function):
-            continue
-        hints = typing.get_type_hints(function)
-        parameters = list(inspect.signature(function).parameters)
-        for target in (p for p in parameters if hints.get(p) is record):
-            guarded.add(name)
+SCALARS = (int, Rat, Rat | int)
+
+# one valid instance of each record type that a public parameter takes
+VALID_RECORDS = {
+    DilationPair: lambda: DilationPair(Fraction(2, 3), Fraction(1, 2)),
+    MuNu: lambda: MuNu(Fraction(3, 2), Fraction(3, 4)),
+    SigmaTau: lambda: SigmaTau(Fraction(2, 3), Fraction(4, 3)),
+    SemigroupPair: lambda: SemigroupPair(3, 5),
+    PlotSpec: lambda: PlotSpec(-1, 1, -1, 1),
+    PlotModel: lambda: build_plot_model(PlotSpec(-1, 1, -1, 1)),
+}
+
+
+def is_record(hint: object) -> bool:
+    return isinstance(hint, type) and dataclasses.is_dataclass(hint)
+
+
+def valid_argument(hint: object) -> object:
+    """A value that every probed parameter annotated ``hint`` accepts; KeyError for an unknown record."""
+    if hint is int:
+        return 2
+    if hint in SCALARS:
+        return Fraction(1, 2)
+    return VALID_RECORDS[hint]()
+
+
+def as_subclass(record: object) -> object:
+    """An instance of a fresh subclass of ``record``'s class with the same fields."""
+    subclass = type(f"{type(record).__name__}Subclass", (type(record),), {})
+    return subclass(**{field.name: getattr(record, field.name) for field in dataclasses.fields(record)})
+
+
+@pytest.mark.parametrize("name", floorcomm.__all__)
+def test_public_name_keeps_the_type_contract(name):
+    value = getattr(floorcomm, name)
+    if dataclasses.is_dataclass(value):
+        assert (name in INPUT_RECORDS) != (name in OUTPUT_RECORDS), f"{name} must be an input or an output record"
+        if name in OUTPUT_RECORDS:
+            return
+    elif not inspect.isfunction(value):
+        return  # Rat and the Witness union: nothing to call
+    hints = typing.get_type_hints(value)
+    parameters = list(inspect.signature(value).parameters)
+    if not any(is_record(hints[p]) or hints[p] in SCALARS for p in parameters):
+        return  # only str or iterable parameters
+    # the other parameters get a valid value by annotation
+    valid = {p: valid_argument(hints[p]) for p in parameters}
+    for target in parameters:
+        hint = hints[target]
+        if is_record(hint):
             for bad in (1.5, True, (Fraction(1, 3), Fraction(1, 2))):
-                # the other parameters get a valid int or rational by annotation
-                args = [bad if p == target else 2 if hints[p] is int else Fraction(1, 2) for p in parameters]
-                with pytest.raises(TypeError, match=record.__name__):
-                    function(*args)
-    return guarded
-
-
-def test_dilation_pair_parameters_refuse_other_types():
-    assert refusing_functions(DilationPair) >= {
-        "classify",
-        "is_member",
-        "oracle_verify",
-        "commutator",
-        "birational",
-        "symmetry_scale_second",
-        "symmetry_shrink",
-    }
-
-
-def test_semigroup_pair_parameters_refuse_other_types():
-    assert refusing_functions(SemigroupPair) == {
-        "sg_contains",
-        "frobenius_number",
-        "nonrealizing_set",
-        "sylvester_duality_holds",
-    }
+                with pytest.raises(TypeError, match=f"expected a {hint.__name__}, got {type(bad).__name__}"):
+                    value(**valid | {target: bad})
+            value(**valid | {target: as_subclass(valid[target])})
+        elif hint in SCALARS:
+            for bad in (1.5, True):
+                with pytest.raises(TypeError, match=f"got {type(bad).__name__}$"):
+                    value(**valid | {target: bad})
