@@ -11,9 +11,11 @@ plain lines, CSV or SVG) to ``_emit``, the only writer of command output.
 This module imports ``classify``, ``exact`` and ``floorfn`` (and through
 them ``semigroup``), which ``classify``, ``verify`` and ``sweep`` run.  The
 commands ``beatty``, ``frobenius``, ``preorder`` and ``plot`` each import the
-module they use when they run, and ``_csv`` imports ``csv``, so a start loads
-only what its command runs: ``classify`` loads none of ``beatty``,
-``geometry``, ``preorder``, ``plot`` or ``csv``.
+module they use when they run, and ``_csv``, which only ``preorder`` writes
+through, imports ``csv``, so a start loads only what its command runs:
+``classify`` and ``sweep`` load none of ``beatty``, ``geometry``,
+``preorder``, ``plot`` or ``csv``.  ``sweep`` writes each CSV row as one
+formatted line.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Any, Iterable, Sequence
 
 from .classify import Verdict, Witness, _witness, classify
 from .exact import Rat, format_rat, parse_rat
-from .floorfn import DilationPair, OracleReport, commutator, oracle_verify
+from .floorfn import DilationPair, OracleReport, _oracle_min, commutator, oracle_verify
 
 _NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$")
 
@@ -169,32 +171,52 @@ def sweep_values(num_bound: int, den_bound: int) -> list[Rat]:
 SWEEP_COLUMNS = ("alpha", "beta", "member", "witness_kind", "witness_params", "oracle_min", "agree")
 
 
+def _sweep_csv(rows: list[tuple[Any, ...]]) -> str:
+    """Sweep rows, the header first, as CSV text, one formatted line per row.
+
+    Every field is ``p/q`` text, an identifier, ``k=v;...``, an int or a
+    bool, so none needs quoting.  Only the two bool columns become
+    ``true``/``false``: ``oracle_min`` stays an int where it is 0 (== False).
+    """
+    lines = [",".join(SWEEP_COLUMNS)]
+    for alpha, beta, member, kind, params, oracle_min, agree in rows:
+        member_text = "true" if member else "false"
+        agree_text = "true" if agree else "false"
+        lines.append(f"{alpha},{beta},{member_text},{kind},{params},{oracle_min},{agree_text}")
+    lines.append("")
+    return "\n".join(lines)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    # each value with its text, formatted once
-    values = [(value, format_rat(value)) for value in sweep_values(args.num_bound, args.den_bound)]
+    # each value with its integer parts and its text, read and formatted once
+    values = [
+        (value, value.numerator, value.denominator, format_rat(value))
+        for value in sweep_values(args.num_bound, args.den_bound)
+    ]
     # argparse drops the lone "--" of --quadrant=-- and leaves an empty list
     in_quadrant = _QUADRANT_TESTS[args.quadrant or "--"]
     rows = []
     members = disagreements = 0
-    for alpha, alpha_text in values:
-        for beta, beta_text in values:
-            if not in_quadrant(alpha.numerator, beta.numerator):
+    for alpha, a, b, alpha_text in values:
+        for beta, c, d, beta_text in values:
+            if not in_quadrant(a, c):
                 continue
-            # no counterexample column, so the sweep needs the witness and not a Verdict
+            # no counterexample column, so the sweep needs the witness and not a Verdict,
+            # and the oracle's least value and not its report
             witness = _witness(alpha, beta)
             member = witness is not None
-            report = oracle_verify(DilationPair(alpha, beta))
-            agree = member == report.member
+            oracle_min = _oracle_min(a, b, c, d)[0] if a and c else 0
+            agree = member == (oracle_min >= 0)
             members += member
             disagreements += not agree
             kind = "" if witness is None else witness.kind
             params = ";".join(_witness_params(witness))
-            rows.append((alpha_text, beta_text, member, kind, params, report.min_value, agree))
+            rows.append((alpha_text, beta_text, member, kind, params, oracle_min, agree))
     if args.fmt == "json":
         summary = {"pairs": len(rows), "members": members, "disagreements": disagreements}
         text = _json({"rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows], "summary": summary})
     else:
-        text = _csv([SWEEP_COLUMNS, *rows])
+        text = _sweep_csv(rows)
     _emit(text, args.out)
     print(f"sweep: {len(rows)} pairs, {members} members, {disagreements} disagreements", file=sys.stderr)
     return 0 if disagreements == 0 else 1
@@ -280,11 +302,8 @@ def cmd_preorder(args: argparse.Namespace) -> int:
             ],
         })
     _emit(text, args.out)
-    print(
-        f"preorder: {len(labels)} values, transitivity"
-        f" {'violated: ' + str(violation) if violation else 'holds'}",
-        file=sys.stderr,
-    )
+    status = "holds" if violation is None else f"violated: ({', '.join(map(format_rat, violation))})"
+    print(f"preorder: {len(labels)} values, transitivity {status}", file=sys.stderr)
     return 0 if violation is None else 1
 
 

@@ -116,16 +116,19 @@ def upper_round(alpha: Rat | int, x: Rat | int) -> Rat:
     return alpha * rat_ceil(x / alpha)
 
 
-def oracle_verify(pair: DilationPair) -> OracleReport:
-    """Exact global minimum of the commutator, by exhaustive period scan.
+def _oracle_min(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
+    """The oracle's walk for alpha = a/b and beta = c/d in lowest terms, a and c nonzero.
 
-    Covers every breakpoint in [0, T) and every gap between consecutive
-    breakpoints; piecewise constancy makes this a complete cover of R.
-    Breakpoints are scaled by |num(alpha)*num(beta)|, so the progressions are
-    k*step_a and j*step_b in integers, and a period holds step_b alpha points
-    and step_a beta points.  The scan walks the step_i = min(step_a, step_b)
-    gaps of the sparser, outer progression: O(1) work per gap, O(1) extra
-    memory.
+    Returns the commutator's least value, the argmin's numerator over
+    2*|a*c|, and the number of breakpoints in one period.  ``oracle_verify``
+    wraps these in an ``OracleReport``; ``cli.cmd_sweep`` calls this walk
+    directly on each pair's numerators and denominators and reads only the
+    least value.
+
+    Breakpoints are scaled by |a*c|, so the progressions are k*step_a and
+    j*step_b in integers, and a period holds step_b alpha points and step_a
+    beta points.  The scan walks the step_i = min(step_a, step_b) gaps of the
+    sparser, outer progression: O(1) work per gap, O(1) extra memory.
 
     On outer gap j, (j*step_o, (j+1)*step_o), the outer progression's inner
     floor is j for a positive factor and -j-1 for a negative one; on the
@@ -148,14 +151,6 @@ def oracle_verify(pair: DilationPair) -> OracleReport:
     positive, since that point has the gap's value, and as its midpoint
     lo + hi otherwise.
     """
-    if type(pair) is not DilationPair:
-        require_type(pair, DilationPair)
-    alpha, beta = pair.alpha, pair.beta
-    a, b = alpha.numerator, alpha.denominator
-    c, d = beta.numerator, beta.denominator
-    if a == 0 or c == 0:
-        # both compositions vanish identically; nothing to enumerate
-        return OracleReport(Fraction(1), 0, Fraction(0), 0, 0)
     step_a = b * abs(c)  # |1/alpha|, scaled; the number of beta points in [0, T)
     step_b = d * abs(a)  # |1/beta|, scaled; the number of alpha points in [0, T)
     neg_a, neg_b = a < 0, c < 0
@@ -186,7 +181,28 @@ def oracle_verify(pair: DilationPair) -> OracleReport:
         hi = lo + min(step_a - off_a, step_b - off_b)
         at_point = not (neg_a and off_a == 0 or neg_b and off_b == 0)
         best_num = 2 * lo if at_point else lo + hi
-    breakpoints = step_a + step_b - gcd(step_a, step_b)
+    return best, best_num, step_a + step_b - gcd(step_a, step_b)
+
+
+def oracle_verify(pair: DilationPair) -> OracleReport:
+    """Exact global minimum of the commutator, by exhaustive period scan.
+
+    Covers every breakpoint in [0, T) and every gap between consecutive
+    breakpoints; piecewise constancy makes this a complete cover of R.  The
+    scan is ``_oracle_min``, one step per gap of the sparser breakpoint
+    progression, run on the factors' numerators and denominators; this
+    function adds the type guard, the axis case and the report.
+    ``cli.cmd_sweep`` is the kernel's other caller.
+    """
+    if type(pair) is not DilationPair:
+        require_type(pair, DilationPair)
+    alpha, beta = pair.alpha, pair.beta
+    a, b = alpha.numerator, alpha.denominator
+    c, d = beta.numerator, beta.denominator
+    if a == 0 or c == 0:
+        # both compositions vanish identically; nothing to enumerate
+        return OracleReport(Fraction(1), 0, Fraction(0), 0, 0)
+    best, best_num, breakpoints = _oracle_min(a, b, c, d)
     return OracleReport(
         period=Fraction(b * d),
         min_value=best,

@@ -1,21 +1,25 @@
 """Command-line contract: exit codes, JSON round-trips, deterministic output."""
 
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import floorcomm
-from floorcomm import beatty, preorder
+from floorcomm import beatty, cli, preorder
 from floorcomm.classify import classify, is_member
-from floorcomm.cli import main, verdict_from_dict, verdict_to_dict
-from floorcomm.floorfn import DilationPair, oracle_verify
+from floorcomm.cli import main, sweep_values, verdict_from_dict, verdict_to_dict
+from floorcomm.exact import format_rat
+from floorcomm.floorfn import DilationPair, _oracle_min, oracle_verify
+from reference_oracle import reference_oracle_verify
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "plot_M2_D2_R2.svg"
@@ -199,11 +203,67 @@ def oracle_calls(monkeypatch):
     return calls
 
 
-def test_sweep_runs_the_oracle_once_per_pair(oracle_calls, capsys):
+def test_sweep_runs_the_oracle_once_per_pair(oracle_calls, monkeypatch, capsys):
+    # the sweep runs the oracle's integer kernel, never the report-building oracle_verify
+    kernel_calls = []
+
+    def counting_kernel(a, b, c, d):
+        kernel_calls.append((a, b, c, d))
+        return _oracle_min(a, b, c, d)
+
+    monkeypatch.setattr(cli, "_oracle_min", counting_kernel)
     assert main(["sweep", "-P", "3", "-Q", "3", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
-    assert len(oracle_calls) == len(rows) == len(set(oracle_calls))
+    nonzero = [row for row in rows if "0" not in (row["alpha"], row["beta"])]
+    assert len(kernel_calls) == len(nonzero) == len(set(kernel_calls)) < len(rows)
+    assert all(a and c for a, _, c, _ in kernel_calls)
+    assert oracle_calls == []
     assert any(row["member"] for row in rows) and not all(row["member"] for row in rows)
+
+
+@pytest.fixture(scope="module")
+def sweep_4_4_rows():
+    """The sweep row of every ordered pair of sweep_values(4, 4), built from the public API."""
+    rows = []
+    for alpha, beta in product(sweep_values(4, 4), repeat=2):
+        pair = DilationPair(alpha, beta)
+        verdict = classify(pair)
+        witness = verdict.witness
+        oracle_min = oracle_verify(pair).min_value
+        assert oracle_min == reference_oracle_verify(pair).min_value, (alpha, beta)
+        kind = "" if witness is None else witness.kind
+        params = "" if witness is None else ";".join(f"{key}={value}" for key, value in vars(witness).items())
+        row = (format_rat(alpha), format_rat(beta), verdict.member, kind, params, oracle_min)
+        rows.append(((alpha.numerator, beta.numerator), row + (verdict.member == (oracle_min >= 0),)))
+    return rows
+
+
+def test_sweep_oracle_min_matches_both_oracles(sweep_4_4_rows, capsys):
+    assert main(["sweep", "-P", "4", "-Q", "4", "--json"]) == 0
+    got = [tuple(row.values()) for row in json.loads(capsys.readouterr().out)["rows"]]
+    assert got == [row for _, row in sweep_4_4_rows]
+    assert len(got) == 23 * 23
+    mins = {row[5] for row in got}
+    assert 0 in mins and min(mins) < 0  # 0 == False, so a lookup keyed by bools would rewrite it
+
+
+@pytest.mark.parametrize("quadrant", ["all", "++", "+-", "-+", "--"])
+def test_sweep_csv_equals_a_csv_writer_rendering(quadrant, sweep_4_4_rows, capsys):
+    in_quadrant = {
+        "all": lambda a, c: True,
+        "++": lambda a, c: a > 0 and c > 0,
+        "+-": lambda a, c: a > 0 and c < 0,
+        "-+": lambda a, c: a < 0 and c > 0,
+        "--": lambda a, c: a < 0 and c < 0,
+    }[quadrant]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["alpha", "beta", "member", "witness_kind", "witness_params", "oracle_min", "agree"])
+    for signs, row in sweep_4_4_rows:
+        if in_quadrant(*signs):
+            writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in row])
+    assert main(["sweep", "-P", "4", "-Q", "4", f"--quadrant={quadrant}"]) == 0
+    assert capsys.readouterr().out == buffer.getvalue()
 
 
 def test_classify_runs_the_oracle_once(oracle_calls, capsys):
@@ -294,6 +354,15 @@ def test_preorder_command(capsys):
     assert all(len(row) == size for row in payload["precedes"])
     assert ["1/2", "1", "2"] not in payload["equivalence_classes"]  # 2 not equiv to 1
     assert any("1/2" in cls and "1" in cls for cls in payload["equivalence_classes"])
+
+
+def test_preorder_violation_is_printed_as_rationals(monkeypatch, capsys):
+    violation = (Fraction(1, 2), Fraction(1), Fraction(2))
+    monkeypatch.setattr(preorder.Preorder, "violation", lambda self: violation)
+    assert main(["preorder", "-P", "2", "-Q", "2"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["transitivity_counterexample"] == ["1/2", "1", "2"]
+    assert captured.err == "preorder: 6 values, transitivity violated: (1/2, 1, 2)\n"
 
 
 def test_preorder_csv(tmp_path, capsys):

@@ -111,12 +111,13 @@ UNUSED_BY_DECISIONS = {"floorcomm.plot", "floorcomm.preorder", "floorcomm.geomet
         (["classify", "1/3", "1/2"], 0, UNUSED_BY_DECISIONS),
         (["verify", "2/3", "1/2"], 1, UNUSED_BY_DECISIONS),
         (["frobenius", "3", "5"], 0, UNUSED_BY_DECISIONS),
+        (["sweep", "-P", "2", "-Q", "2"], 0, UNUSED_BY_DECISIONS),
         (["sweep", "-P", "2", "-Q", "2", "--json"], 0, UNUSED_BY_DECISIONS),
         (["beatty", "5/2", "5/3"], 0, UNUSED_BY_DECISIONS - {"floorcomm.beatty"}),
         (["preorder", "-P", "2", "-Q", "2"], 0, UNUSED_BY_DECISIONS - {"floorcomm.preorder"}),
         (["plot"], 0, {"floorcomm.preorder", "floorcomm.geometry", "floorcomm.beatty"}),
     ],
-    ids=["classify", "verify", "frobenius", "sweep-json", "beatty", "preorder", "plot"],
+    ids=["classify", "verify", "frobenius", "sweep", "sweep-json", "beatty", "preorder", "plot"],
 )
 def test_a_command_imports_only_what_it_runs(argv, code, unused):
     result = run_fresh(FOOTPRINT_WRAPPER, *argv)
