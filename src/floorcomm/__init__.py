@@ -13,7 +13,7 @@ enlarged diagonal, torus corner-rectangle avoidance, and two-generator
 numerical semigroup membership.
 
 ``import floorcomm`` loads ``classify`` and the three modules it runs on,
-``exact``, ``floorfn`` and ``semigroup``.  Every other name of ``__all__`` is
+``exact``, ``floorfn`` and ``_kernels``.  Every other name of ``__all__`` is
 imported from its module on first use (PEP 562 module ``__getattr__``) and
 then kept here, so ``beatty``, ``geometry``, ``preorder`` and ``plot`` load
 only when one of their names is read or they are imported themselves.

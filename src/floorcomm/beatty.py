@@ -12,9 +12,9 @@ reduced set depends only on m mod num(u), which makes disjointness of two
 reduced sets decidable on one window of length lcm of the numerators.  The
 window scan reads the numerators and denominators once and tests each m with
 the same integer predicate as ``reduced_contains``; it calls nothing in the
-classifier.  The disjointness witness is the package's two-generator solver
-(``semigroup._least_representation``), called on the numerators and
-denominators directly.
+classifier or in ``_kernels``.  The disjointness witness is the package's
+two-generator solver (``_kernels._least_representation``), called on the
+numerators and denominators directly.
 
 Parameters are ints or Fractions, m is an int; float and bool raise TypeError.
 """
@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from math import lcm
 
+from ._kernels import _least_representation
 from .exact import Rat, positive_rat, require_int
-from .semigroup import _least_representation
 
 _POSITIVE = "Beatty parameter must be positive"
 

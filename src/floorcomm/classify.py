@@ -14,20 +14,22 @@ placing the pair on one of the member families:
 
 Each family condition is a linear congruence in the numerators and
 denominators, so the searches run in integer arithmetic and return the
-witness a scan in increasing m (then n) would meet first:
+witness a scan in increasing m (then n) would meet first.  The integer
+searches live in ``_kernels``:
 
     positive line   least m of m*(a*c) + n*(a*d) = b*c, one modular inverse
-                    (``semigroup._least_representation``, shared with
-                    semigroup membership and the Beatty witness)
+                    (``_least_representation``, shared with semigroup
+                    membership and the Beatty witness)
     hyperbola       the positive line at (-beta, -alpha), n >= 1
     vertical        the test c*p <= d
     sporadic        None at once when no m <= m_top = (p*(q - 1) - t_min)//q
                     can reach r >= 2 (every beta <= -2/p, every q = 1);
                     else O(m_top/G) steps, one congruence in n per G-th m
+                    (``_sporadic``)
     certificate     a non-member's least violating breakpoint: closed form
                     for alpha > 0 > beta, else the least k in [1, lcm] of
-                    the two numerators with a residue test, O(lcm) steps;
-                    the scan is ``integer_rounding_check``'s
+                    the two numerators with a residue test, O(lcm) steps
+                    (``_least_k``, shared with ``integer_rounding_check``)
 
 where alpha = a/b or -q/p and beta = c/d or -c/d in lowest terms.  The
 positive and hyperbola certificates and the sporadic exit take time
@@ -46,9 +48,9 @@ from fractions import Fraction
 from math import gcd
 from typing import ClassVar, Union
 
+from ._kernels import _least_k, _least_representation, _sporadic
 from .exact import Rat, as_rat, positive_rat, require_int, require_type
-from .floorfn import _POSITIVE, DilationPair, _least_k, commutator
-from .semigroup import _least_representation
+from .floorfn import _POSITIVE, DilationPair, commutator
 
 _QUADRANT = "symmetries are defined on the open positive quadrant"
 
@@ -200,7 +202,7 @@ def _positive_line(a: int, b: int, c: int, d: int) -> tuple[int, int] | None:
 
     At alpha = a/b and beta = c/d > 0, times b*d, the equation reads
     m*(a*c) + n*(a*d) = b*c: the two-generator equation, whose least-m
-    solution ``semigroup._least_representation`` finds with one modular
+    solution ``_kernels._least_representation`` finds with one modular
     inverse.  n is unique given m and (0, 0) never solves, so this is the
     smallest-m solution of a scan over m = 0, ..., floor(1/alpha), found in
     O(log) steps.  Neither a/b nor c/d need be in lowest terms.
@@ -230,7 +232,7 @@ def negative_witness(alpha: Rat | int, beta: Rat | int) -> NegHyperbola | NegVer
     then it is the smallest-m one.  O(log) steps.
     Vertical: alpha = -q/p is forced by lowest terms, leaving -1/p <= beta,
     that is c*p <= d.
-    Sporadic: see ``_sporadic_witness``.
+    Sporadic: the least (m, n, r) of ``_kernels._sporadic``.
 
     Each factor is an int or a Fraction; float and bool raise TypeError.
     """
@@ -245,43 +247,8 @@ def negative_witness(alpha: Rat | int, beta: Rat | int) -> NegHyperbola | NegVer
         return NegHyperbola(*mn)
     if c * p <= d:
         return NegVertical(p, q)
-    return _sporadic_witness(p, q, c, d)
-
-
-def _sporadic_witness(p: int, q: int, c: int, d: int) -> NegSporadic | None:
-    """Lexicographically least sporadic (m, n) for alpha = -q/p, beta = -c/d < -1/p.
-
-    Put K = p*c - d > 0 and t = p*q - m*q - n*p, so that share = m/p + n/q < 1
-    means t >= 1 and the defining equation gives r = t*c/(q*K).  r is an
-    integer exactly when L = q*K/gcd(q*K, c) divides t, and r >= 2 exactly
-    when t >= t_min = ceil(2*q*K/c).  n >= 1 gives t <= q*(p - m) - p, so only
-    m <= m_top = (p*(q - 1) - t_min) // q can reach t_min, and m_top < 0
-    returns None before any inverse.  The band lemma is one case: beta <= -2/p
-    gives t_min >= p*q and so m_top < 0; q = 1 is another, m_top = -t_min.
-
-    The congruence n*p = q*(p - m) (mod L) is solvable iff G = gcd(p, L)
-    divides m (p and q are coprime), and then its least n >= 1 comes from one
-    precomputed inverse; t decreases in n, so that n gives the largest t for
-    its m.  The scan over m = 0, G, 2G, ..., m_top keeps the lexicographic
-    (m, n) order in O(m_top/G) integer steps; a polynomial bound here is a
-    two-dimensional lattice-point problem left open.
-    """
-    qk = q * (p * c - d)
-    t_min = -(-2 * qk // c)  # >= 1, since q*K >= 1
-    m_top = (p * (q - 1) - t_min) // q
-    if m_top < 0:
-        return None
-    ell = qk // gcd(qk, c)  # L
-    g = gcd(p, ell)
-    mod = ell // g
-    inv = pow(p // g, -1, mod)
-    for m in range(0, m_top + 1, g):
-        top = q * (p - m)
-        n = top // g * inv % mod or mod
-        t = top - n * p
-        if t >= t_min:
-            return NegSporadic(p, q, m, n, t * c // qk)
-    return None
+    mnr = _sporadic(p, q, c, d)
+    return None if mnr is None else NegSporadic(p, q, *mnr)
 
 
 def _witness(alpha: Rat, beta: Rat) -> Witness | None:

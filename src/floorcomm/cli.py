@@ -9,13 +9,13 @@ Each command builds its payload once and hands the one text asked for (JSON,
 plain lines, CSV or SVG) to ``_emit``, the only writer of command output.
 
 This module imports ``classify``, ``exact`` and ``floorfn`` (and through
-them ``semigroup``), which ``classify``, ``verify`` and ``sweep`` run.  The
+them ``_kernels``), which ``classify``, ``verify`` and ``sweep`` run.  The
 commands ``beatty``, ``frobenius``, ``preorder`` and ``plot`` each import the
 module they use when they run, and ``_csv``, which only ``preorder`` writes
 through, imports ``csv``, so a start loads only what its command runs:
 ``classify`` and ``sweep`` load none of ``beatty``, ``geometry``,
-``preorder``, ``plot`` or ``csv``.  ``sweep`` writes each CSV row as one
-formatted line.
+``semigroup``, ``preorder``, ``plot`` or ``csv``.  ``sweep`` writes each CSV
+row as one formatted line.
 """
 
 from __future__ import annotations

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
+from ._kernels import _least_k
 from .exact import Rat, as_rat, positive_rat, rat_ceil, rat_floor, require_type
 
 _POSITIVE = "dilation factors must be positive"
@@ -210,18 +211,6 @@ def oracle_verify(pair: DilationPair) -> OracleReport:
         breakpoints_checked=breakpoints,
         samples_checked=2 * breakpoints,
     )
-
-
-def _least_k(a: int, b: int, c: int, d: int, bar: int) -> int | None:
-    """Least k in [1, lcm(a, c)] with d*((-k*b) % a) - b*((-k*d) % c) > bar, or None.
-
-    Both residues depend only on k mod a and k mod c, so one period of k is
-    exhaustive: O(lcm(a, c)) integer steps.
-    """
-    for k in range(1, lcm(a, c) + 1):
-        if d * (-k * b % a) - b * (-k * d % c) > bar:
-            return k
-    return None
 
 
 def integer_rounding_check(alpha: Rat | int, beta: Rat | int) -> tuple[bool, int | None]:

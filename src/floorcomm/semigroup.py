@@ -1,12 +1,12 @@
 """Two-generator numerical semigroups: membership, Frobenius number, duality.
 
 S(a, b) = a*N + b*N for coprime a, b >= 1.  Membership is O(log): one call
-of ``_least_representation``, the package's one solver of i*x + j*y = n in
-i, j >= 0 (one gcd, one modular inverse), shared with the classifier's
-positive line and the Beatty witness.  The gap list sweeps all of [0, F] with
-F = a*b - a - b, and the duality check the pairs {n, F - n}, each once; both
-take O(a*b) steps, test each n with the same modular inverse (``_gap_flags``)
-and serve as ground truth for the torus necessity argument.
+of ``_kernels._least_representation``, the package's one solver of
+i*x + j*y = n in i, j >= 0 (one gcd, one modular inverse), shared with the
+classifier's positive line and the Beatty witness.  The gap list sweeps all
+of [0, F] with F = a*b - a - b, and the duality check the pairs {n, F - n},
+each once; both take O(a*b) steps, test each n with the same modular inverse
+(``_gap_flags``) and serve as ground truth for the torus necessity argument.
 
 Every public function refuses an ``sg`` that is not a SemigroupPair with a
 TypeError naming the class (``exact.require_type``).
@@ -20,6 +20,7 @@ from itertools import compress
 from math import gcd
 from operator import ne
 
+from ._kernels import _least_representation
 from .exact import require_int, require_type
 
 
@@ -37,21 +38,6 @@ class SemigroupPair:
             raise ValueError("generators must be >= 1")
         if gcd(self.a, self.b) != 1:
             raise ValueError(f"generators must be coprime, got gcd = {gcd(self.a, self.b)}")
-
-
-def _least_representation(x: int, y: int, n: int) -> tuple[int, int] | None:
-    """Least-i solution (i, j) of i*x + j*y = n with i, j >= 0, or None; x, y >= 1.
-
-    It needs g = gcd(x, y) to divide n.  The least i >= 0 with y | n - i*x is
-    then (n/g) * (x/g)^-1 mod (y/g); j decreases in i, so if j < 0 there, no
-    i works.
-    """
-    g = gcd(x, y)
-    if n % g:
-        return None
-    mod = y // g
-    i = n // g * pow(x // g, -1, mod) % mod
-    return (i, (n - i * x) // y) if i * x <= n else None
 
 
 def sg_contains(sg: SemigroupPair, n: int) -> bool:

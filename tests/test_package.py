@@ -102,7 +102,14 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
-UNUSED_BY_DECISIONS = {"floorcomm.plot", "floorcomm.preorder", "floorcomm.geometry", "floorcomm.beatty", "csv"}
+UNUSED_BY_DECISIONS = {
+    "floorcomm.plot",
+    "floorcomm.preorder",
+    "floorcomm.geometry",
+    "floorcomm.beatty",
+    "floorcomm.semigroup",
+    "csv",
+}
 
 
 @pytest.mark.parametrize(
@@ -110,12 +117,12 @@ UNUSED_BY_DECISIONS = {"floorcomm.plot", "floorcomm.preorder", "floorcomm.geomet
     [
         (["classify", "1/3", "1/2"], 0, UNUSED_BY_DECISIONS),
         (["verify", "2/3", "1/2"], 1, UNUSED_BY_DECISIONS),
-        (["frobenius", "3", "5"], 0, UNUSED_BY_DECISIONS),
+        (["frobenius", "3", "5"], 0, UNUSED_BY_DECISIONS - {"floorcomm.semigroup"}),
         (["sweep", "-P", "2", "-Q", "2"], 0, UNUSED_BY_DECISIONS),
         (["sweep", "-P", "2", "-Q", "2", "--json"], 0, UNUSED_BY_DECISIONS),
         (["beatty", "5/2", "5/3"], 0, UNUSED_BY_DECISIONS - {"floorcomm.beatty"}),
         (["preorder", "-P", "2", "-Q", "2"], 0, UNUSED_BY_DECISIONS - {"floorcomm.preorder"}),
-        (["plot"], 0, {"floorcomm.preorder", "floorcomm.geometry", "floorcomm.beatty"}),
+        (["plot"], 0, {"floorcomm.preorder", "floorcomm.geometry", "floorcomm.beatty", "floorcomm.semigroup"}),
     ],
     ids=["classify", "verify", "frobenius", "sweep", "sweep-json", "beatty", "preorder", "plot"],
 )
@@ -124,7 +131,8 @@ def test_a_command_imports_only_what_it_runs(argv, code, unused):
     assert result.returncode == 0, result.stderr
     child = json.loads(result.stdout)
     assert child["code"] == code
-    assert "floorcomm.cli" in child["modules"]
+    # every command imports classify, and with it the kernels
+    assert {"floorcomm.cli", "floorcomm._kernels"} <= set(child["modules"])
     assert unused.isdisjoint(child["modules"]), unused.intersection(child["modules"])
 
 
