@@ -188,22 +188,22 @@ def _sweep_csv(rows: list[tuple[Any, ...]]) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    # each value with its integer parts and its text, read and formatted once
+    # each value's integer parts and text, read and formatted once
     values = [
-        (value, value.numerator, value.denominator, format_rat(value))
+        (value.numerator, value.denominator, format_rat(value))
         for value in sweep_values(args.num_bound, args.den_bound)
     ]
     # argparse drops the lone "--" of --quadrant=-- and leaves an empty list
     in_quadrant = _QUADRANT_TESTS[args.quadrant or "--"]
     rows = []
     members = disagreements = 0
-    for alpha, a, b, alpha_text in values:
-        for beta, c, d, beta_text in values:
+    for a, b, alpha_text in values:
+        for c, d, beta_text in values:
             if not in_quadrant(a, c):
                 continue
             # no counterexample column, so the sweep needs the witness and not a Verdict,
             # and the oracle's least value and not its report
-            witness = _witness(alpha, beta)
+            witness = _witness(a, b, c, d)
             member = witness is not None
             oracle_min = _oracle_min(a, b, c, d)[0] if a and c else 0
             agree = member == (oracle_min >= 0)

@@ -77,6 +77,11 @@ class OracleReport:
         return self.min_value >= 0
 
 
+# a member's argmin and the axis pairs' report, built once and shared: both are immutable
+_ZERO = Fraction(0)
+_AXIS_REPORT = OracleReport(Fraction(1), 0, _ZERO, 0, 0)
+
+
 def dilated_floor(alpha: Rat | int, x: Rat | int) -> int:
     """floor(alpha * x); float and bool raise TypeError."""
     return rat_floor(as_rat(alpha) * as_rat(x))
@@ -91,10 +96,12 @@ def commutator(pair: DilationPair, x: Rat | int) -> int:
     """
     if type(pair) is not DilationPair:
         require_type(pair, DilationPair)
-    a, b = pair.alpha.numerator, pair.alpha.denominator
-    c, d = pair.beta.numerator, pair.beta.denominator
-    x = as_rat(x)
-    n, m = x.numerator, x.denominator
+    alpha, beta, x = pair.alpha, pair.beta, as_rat(x)
+    return _commutator(alpha.numerator, alpha.denominator, beta.numerator, beta.denominator, x.numerator, x.denominator)
+
+
+def _commutator(a: int, b: int, c: int, d: int, n: int, m: int) -> int:
+    """``commutator`` at alpha = a/b, beta = c/d and x = n/m; b, d, m >= 1, no part need be in lowest terms."""
     return (a * ((c * n) // (d * m))) // b - (c * ((a * n) // (b * m))) // d
 
 
@@ -191,23 +198,23 @@ def oracle_verify(pair: DilationPair) -> OracleReport:
     Covers every breakpoint in [0, T) and every gap between consecutive
     breakpoints; piecewise constancy makes this a complete cover of R.  The
     scan is ``_oracle_min``, one step per gap of the sparser breakpoint
-    progression, run on the factors' numerators and denominators; this
-    function adds the type guard, the axis case and the report.
+    progression, run on the factors' numerators and denominators, read once;
+    this function adds the type guard, the axis case and the report.  The
+    axis report and a member's argmin 0 are shared module constants, so a
+    report builds at most two Fractions: the period and a non-member's argmin.
     ``cli.cmd_sweep`` is the kernel's other caller.
     """
     if type(pair) is not DilationPair:
         require_type(pair, DilationPair)
     alpha, beta = pair.alpha, pair.beta
-    a, b = alpha.numerator, alpha.denominator
-    c, d = beta.numerator, beta.denominator
-    if a == 0 or c == 0:
-        # both compositions vanish identically; nothing to enumerate
-        return OracleReport(Fraction(1), 0, Fraction(0), 0, 0)
+    a, b, c, d = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+    if a == 0 or c == 0:  # both compositions vanish identically; nothing to enumerate
+        return _AXIS_REPORT
     best, best_num, breakpoints = _oracle_min(a, b, c, d)
     return OracleReport(
         period=Fraction(b * d),
         min_value=best,
-        argmin=Fraction(best_num, 2 * abs(a) * abs(c)),  # samples live over 2*|a*c|
+        argmin=Fraction(best_num, 2 * abs(a) * abs(c)) if best_num else _ZERO,  # samples live over 2*|a*c|
         breakpoints_checked=breakpoints,
         samples_checked=2 * breakpoints,
     )

@@ -16,12 +16,23 @@ from reference_search import fraction_commutator, reference_least_violation
 CLASSIFY = sys.modules["floorcomm.classify"]
 
 
+def parts(alpha: Fraction, beta: Fraction) -> tuple[int, int, int, int]:
+    """The integer parts the private searches take: alpha = a/b, beta = c/d in lowest terms."""
+    return alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+
+
+def certificate(alpha: Fraction, beta: Fraction) -> Fraction | None:
+    """``_certificate`` at (alpha, beta), its (N, M) read as the Fraction N/M."""
+    x = _certificate(*parts(alpha, beta))
+    return None if x is None else Fraction(*x)
+
+
 def test_certificate_is_the_least_violating_breakpoint_on_grid():
     grid = signed_grid(10, 10)
     non_members = 0
     for alpha in grid:
         for beta in grid:
-            if _witness(alpha, beta) is not None:
+            if _witness(*parts(alpha, beta)) is not None:
                 continue
             x = classify(DilationPair(alpha, beta)).counterexample
             if alpha > 0 > beta:
@@ -38,22 +49,25 @@ def test_members_have_no_certificate():
     members = 0
     for alpha in grid:
         for beta in grid:
-            if (alpha > 0) == (beta > 0) and _witness(alpha, beta) is not None:
-                assert _certificate(alpha, beta) is None, (alpha, beta)
+            if (alpha > 0) == (beta > 0) and _witness(*parts(alpha, beta)) is not None:
+                assert certificate(alpha, beta) is None, (alpha, beta)
                 members += 1
     assert members == 1752
 
 
 def test_certificate_examples():
     # (-2, -5/3): j = 1 violates at 3/5, while the oracle's argmin is 11/20
-    assert _certificate(Fraction(-2), Fraction(-5, 3)) == Fraction(3, 5)
+    assert certificate(Fraction(-2), Fraction(-5, 3)) == Fraction(3, 5)
     assert oracle_verify(DilationPair(Fraction(-2), Fraction(-5, 3))).argmin == Fraction(11, 20)
-    assert _certificate(Fraction(2, 3), Fraction(1, 2)) == 3
+    assert certificate(Fraction(2, 3), Fraction(1, 2)) == 3
     # alpha > 0 > beta: the commutator is -ceil(alpha) at 1/(2*max(alpha, -beta))
-    assert _certificate(Fraction(12, 7), Fraction(-5, 3)) == Fraction(7, 24)
+    assert certificate(Fraction(12, 7), Fraction(-5, 3)) == Fraction(7, 24)
     assert fraction_commutator(Fraction(12, 7), Fraction(-5, 3), Fraction(7, 24)) == -2
-    assert _certificate(Fraction(0), Fraction(1)) is None
-    assert _certificate(Fraction(-1), Fraction(1)) is None
+    assert certificate(Fraction(0), Fraction(1)) is None
+    assert certificate(Fraction(-1), Fraction(1)) is None
+    # axis pairs are members on both sides of the +- branch
+    assert certificate(Fraction(0), Fraction(-1)) is None
+    assert certificate(Fraction(1), Fraction(0)) is None
 
 
 @st.composite
@@ -70,7 +84,7 @@ def test_certificate_violates_at_large_sizes(pair):
     alpha, beta = pair
     verdict = classify(DilationPair(alpha, beta))
     if verdict.member:
-        assert _certificate(alpha, beta) is None
+        assert certificate(alpha, beta) is None
     else:
         assert fraction_commutator(alpha, beta, verdict.counterexample) < 0
 
@@ -85,7 +99,7 @@ def scan_steps(alpha: Fraction, beta: Fraction) -> int | None:
         return found[-1]
 
     with mock.patch.object(CLASSIFY, "_least_k", spy):
-        _certificate(alpha, beta)
+        _certificate(*parts(alpha, beta))
     return found[0] if found else None
 
 

@@ -158,10 +158,52 @@ def test_classify_is_decided_without_the_oracle():
 def test_classify_raises_when_no_certificate_checks_out(monkeypatch):
     module = sys.modules["floorcomm.classify"]
     pair = DilationPair(Fraction(2, 3), Fraction(1, 2))
-    for bogus in (None, Fraction(1, 2)):  # no certificate, or one with commutator 0
-        monkeypatch.setattr(module, "_certificate", lambda alpha, beta: bogus)
+    for bogus in (None, (1, 2)):  # no certificate, or x = 1/2, where the commutator is 0
+        monkeypatch.setattr(module, "_certificate", lambda a, b, c, d: bogus)
         with pytest.raises(RuntimeError):
             classify(pair)
+
+
+def test_public_searches_match_the_dispatch_on_grid():
+    # classify reaches the searches through _witness, not through positive_witness and negative_witness
+    grid = signed_grid(10, 10)
+    same_sign = 0
+    for alpha in grid:
+        for beta in grid:
+            if (alpha > 0) == (beta > 0):
+                search = positive_witness if alpha > 0 else negative_witness
+                assert search(alpha, beta) == classify(DilationPair(alpha, beta)).witness, (alpha, beta)
+                same_sign += 1
+    assert same_sign == 2 * (len(grid) // 2) ** 2
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, by_classify, by_oracle",
+    [
+        (Fraction(1, 3), Fraction(1, 2), 0, 1),  # positive member: the oracle's period
+        (Fraction(-2), Fraction(-4, 3), 0, 1),  # negative member
+        (Fraction(12, 7), Fraction(-5, 3), 1, 2),  # +- non-member: the counterexample; the period and argmin
+        (Fraction(2, 3), Fraction(1, 2), 1, 2),  # same-sign non-member
+        (Fraction(0), Fraction(1), 0, 0),  # axis pair: the shared axis report
+        (Fraction(-2, 3), Fraction(5), 0, 1),  # mixed pair
+    ],
+)
+def test_fractions_built_per_pair(monkeypatch, alpha, beta, by_classify, by_oracle):
+    pair = DilationPair(alpha, beta)
+    expected = classify(pair), oracle_verify(pair)
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    assert classify(pair) == expected[0]
+    assert len(built) == by_classify, built
+    built.clear()
+    assert oracle_verify(pair) == expected[1]
+    assert len(built) == by_oracle, built
 
 
 def test_diagonal_family_members():
