@@ -5,23 +5,23 @@ affirmative result, 1 for a non-member or negative result, 2 for usage,
 parse, or output errors.  All numeric output is exact ``p/q`` text; floats
 appear only inside SVG coordinates.
 
-Each command builds its payload once and hands the one text asked for (JSON,
-plain lines, CSV or SVG) to ``_emit``, the only writer of command output.
+Each command builds its payload once and returns the one text asked for
+(JSON, plain lines, CSV or SVG) with its exit code, and ``sweep`` and
+``preorder`` a summary line after them; ``main`` is the only writer of
+command output, and prints a summary only once the text is written.
 
 This module imports ``classify``, ``exact`` and ``floorfn`` (and through
 them ``_kernels``), which ``classify``, ``verify`` and ``sweep`` run.  The
 commands ``beatty``, ``frobenius``, ``preorder`` and ``plot`` each import the
-module they use when they run, and ``_csv``, which only ``preorder`` writes
-through, imports ``csv``, so a start loads only what its command runs:
+module they use when they run, so a start loads only what its command runs:
 ``classify`` and ``sweep`` load none of ``beatty``, ``geometry``,
-``semigroup``, ``preorder``, ``plot`` or ``csv``.  ``sweep`` writes each CSV
-row as one formatted line.
+``semigroup``, ``preorder`` or ``plot``.  No command loads ``csv``: ``_csv``
+writes the CSV of ``sweep`` and ``preorder`` by hand.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import re
@@ -86,25 +86,21 @@ def _json(payload: Any) -> str:
 
 
 def _csv(rows: Iterable[Sequence[Any]]) -> str:
-    """Rows, the header first, as CSV text with bools as ``true``/``false``."""
-    import csv
+    """Rows, the header first, as CSV text, converted a column at a time for speed.
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows([str(v).lower() if isinstance(v, bool) else v for v in row] for row in rows)
-    return buffer.getvalue()
-
-
-def _emit(text: str, out: str | None = None) -> None:
-    """Write a command's output: to stdout, or to the file ``out`` unless it is ``-``."""
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+    A column holds one type: text, written as it is (``p/q``, an identifier or
+    ``k=v;...``, none needing quotes), int, or bool, written ``true``/``false``
+    (so an int 0 stays ``0``).
+    """
+    header, *body = rows
+    columns = []
+    for column in zip(*body):
+        kind = column[0].__class__
+        columns.append(column if kind is str else map(("false", "true").__getitem__ if kind is bool else str, column))
+    return "\n".join([",".join(header), *map(",".join, zip(*columns)), ""])
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> tuple[str, int]:
     pair = DilationPair(args.alpha, args.beta)
     verdict = classify(pair)
     report = None
@@ -129,11 +125,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
             agrees = "agrees" if oracle["agrees"] else "DISAGREES"
             text += f"oracle: period {oracle['period']}, min {oracle['min_value']}"
             text += f" at {oracle['argmin']} ({agrees})\n"
-    _emit(text)
-    return 0 if verdict.member else 1
+    return text, 0 if verdict.member else 1
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     pair = DilationPair(args.alpha, args.beta)
     report = oracle_verify(pair)
     payload = {"alpha": format_rat(pair.alpha), "beta": format_rat(pair.beta)}
@@ -142,8 +137,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "({alpha}, {beta}): {status}; min {min_value} at {argmin} over period {period}"
         " ({breakpoints_checked} breakpoints, {samples_checked} samples)\n"
     ).format_map(payload | {"status": "member" if report.member else "non-member"})
-    _emit(text)
-    return 0 if report.member else 1
+    return text, 0 if report.member else 1
 
 
 # on the numerators, which carry the sign of a Fraction
@@ -171,23 +165,7 @@ def sweep_values(num_bound: int, den_bound: int) -> list[Rat]:
 SWEEP_COLUMNS = ("alpha", "beta", "member", "witness_kind", "witness_params", "oracle_min", "agree")
 
 
-def _sweep_csv(rows: list[tuple[Any, ...]]) -> str:
-    """Sweep rows, the header first, as CSV text, one formatted line per row.
-
-    Every field is ``p/q`` text, an identifier, ``k=v;...``, an int or a
-    bool, so none needs quoting.  Only the two bool columns become
-    ``true``/``false``: ``oracle_min`` stays an int where it is 0 (== False).
-    """
-    lines = [",".join(SWEEP_COLUMNS)]
-    for alpha, beta, member, kind, params, oracle_min, agree in rows:
-        member_text = "true" if member else "false"
-        agree_text = "true" if agree else "false"
-        lines.append(f"{alpha},{beta},{member_text},{kind},{params},{oracle_min},{agree_text}")
-    lines.append("")
-    return "\n".join(lines)
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> tuple[str, int, str]:
     # each value's integer parts and text, read and formatted once
     values = [
         (value.numerator, value.denominator, format_rat(value))
@@ -216,13 +194,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         summary = {"pairs": len(rows), "members": members, "disagreements": disagreements}
         text = _json({"rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows], "summary": summary})
     else:
-        text = _sweep_csv(rows)
-    _emit(text, args.out)
-    print(f"sweep: {len(rows)} pairs, {members} members, {disagreements} disagreements", file=sys.stderr)
-    return 0 if disagreements == 0 else 1
+        text = _csv([SWEEP_COLUMNS, *rows])
+    code = 0 if disagreements == 0 else 1
+    return text, code, f"sweep: {len(rows)} pairs, {members} members, {disagreements} disagreements"
 
 
-def cmd_beatty(args: argparse.Namespace) -> int:
+def cmd_beatty(args: argparse.Namespace) -> tuple[str, int]:
     from .beatty import beatty_contains, beatty_pos_contains, disjointness_witness, reduced_contains, reduced_disjoint
 
     u, v = args.u, args.v
@@ -255,11 +232,10 @@ def cmd_beatty(args: argparse.Namespace) -> int:
         "reduced({u}) in [{window[lo]},{window[hi]}]: {window[u][reduced]}\n"
         "reduced({v}) in [{window[lo]},{window[hi]}]: {window[v][reduced]}\n"
     ).format_map(payload | {"crit": crit})
-    _emit(text)
-    return 0 if disjoint else 1
+    return text, 0 if disjoint else 1
 
 
-def cmd_frobenius(args: argparse.Namespace) -> int:
+def cmd_frobenius(args: argparse.Namespace) -> tuple[str, int]:
     from .semigroup import SemigroupPair, frobenius_number, nonrealizing_set, sylvester_duality_holds
 
     sg = SemigroupPair(args.a, args.b)
@@ -277,11 +253,10 @@ def cmd_frobenius(args: argparse.Namespace) -> int:
         "non-realizing set: {nonrealizing_set}\n"
         "sylvester duality: {sylvester_duality}\n"
     ).format_map(payload)
-    _emit(text)
-    return 0
+    return text, 0
 
 
-def cmd_preorder(args: argparse.Namespace) -> int:
+def cmd_preorder(args: argparse.Namespace) -> tuple[str, int, str]:
     from .preorder import Preorder
 
     relation = Preorder.on(v for v in sweep_values(args.num_bound, args.den_bound) if v != 0)
@@ -301,21 +276,18 @@ def cmd_preorder(args: argparse.Namespace) -> int:
                 [format_rat(v) for v in cls] for cls in relation.classes()
             ],
         })
-    _emit(text, args.out)
     status = "holds" if violation is None else f"violated: ({', '.join(map(format_rat, violation))})"
-    print(f"preorder: {len(labels)} values, transitivity {status}", file=sys.stderr)
-    return 0 if violation is None else 1
+    return text, 0 if violation is None else 1, f"preorder: {len(labels)} values, transitivity {status}"
 
 
-def cmd_plot(args: argparse.Namespace) -> int:
+def cmd_plot(args: argparse.Namespace) -> tuple[str, int]:
     from .plot import PlotSpec, build_plot_model, render_svg
 
     # a count left off the command line is absent from args, so PlotSpec's own default applies
     counts = {name: getattr(args, name) for name in ("curve_bound", "sporadic_r_bound", "den_bound", "samples")
               if name in args}
     spec = PlotSpec(*args.viewbox, **counts)
-    _emit(render_svg(build_plot_model(spec), width=args.width), args.out)
-    return 0
+    return render_svg(build_plot_model(spec), width=args.width), 0
 
 
 def _add_format_flags(parser: argparse.ArgumentParser, *, plain_name: str = "--plain") -> None:
@@ -401,11 +373,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and write its output: the only writer of command output.
+
+    The text goes to the file ``--out`` names, unless it is ``-``, or to
+    stdout, flushed so that a closed pipe fails here and not at interpreter
+    exit; only then is a summary line printed to stderr.
+    """
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # so a closed stdout fails here and not at interpreter exit
+        text, code, *summary = args.func(args)
+        out = getattr(args, "out", None)  # only sweep, preorder and plot take --out
+        if out is None or out == "-":
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        for line in summary:
+            print(line, file=sys.stderr)
         return code
     except BrokenPipeError as exc:
         # a reader has gone: as in the Python docs' SIGPIPE note, point each stream

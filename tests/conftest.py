@@ -1,6 +1,26 @@
-"""Shared grid builders for the test suite."""
+"""Shared grid builders and the child-process launcher of the test suite."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+import floorcomm
+
+# `python -m floorcomm` or `python -c` run from here imports the package under
+# test, with or without PYTHONPATH set
+IMPORT_ROOT = Path(floorcomm.__file__).parents[1]
+
+
+def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python ARGS`` in a child from IMPORT_ROOT, ``subprocess.run`` keywords passed on.
+
+    The child's environment lacks PYTHONUNBUFFERED, so its stdout is block-buffered
+    when it is not a terminal, as a user's would be, whatever the parent's setting.
+    """
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *args], cwd=IMPORT_ROOT, env=env, timeout=60, **kwargs)
 
 
 def positive_grid(num_bound: int, den_bound: int) -> list[Fraction]:

@@ -16,24 +16,18 @@ import dataclasses
 import inspect
 import json
 import subprocess
-import sys
 import typing
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import floorcomm
+from conftest import run_python
 from floorcomm import DilationPair, MuNu, PlotModel, PlotSpec, Rat, SemigroupPair, SigmaTau, build_plot_model
-
-# `python -c` run from here imports the package under test
-IMPORT_ROOT = Path(floorcomm.__file__).parents[1]
 
 
 def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, cwd=IMPORT_ROOT, timeout=60
-    )
+    return run_python("-c", code, *args, capture_output=True, text=True)
 
 
 NAMESPACE_CONTRACT = {
@@ -122,9 +116,10 @@ UNUSED_BY_DECISIONS = {
         (["sweep", "-P", "2", "-Q", "2", "--json"], 0, UNUSED_BY_DECISIONS),
         (["beatty", "5/2", "5/3"], 0, UNUSED_BY_DECISIONS - {"floorcomm.beatty"}),
         (["preorder", "-P", "2", "-Q", "2"], 0, UNUSED_BY_DECISIONS - {"floorcomm.preorder"}),
-        (["plot"], 0, {"floorcomm.preorder", "floorcomm.geometry", "floorcomm.beatty", "floorcomm.semigroup"}),
+        (["preorder", "-P", "2", "-Q", "2", "--csv"], 0, UNUSED_BY_DECISIONS - {"floorcomm.preorder"}),
+        (["plot"], 0, {"floorcomm.preorder", "floorcomm.geometry", "floorcomm.beatty", "floorcomm.semigroup", "csv"}),
     ],
-    ids=["classify", "verify", "frobenius", "sweep", "sweep-json", "beatty", "preorder", "plot"],
+    ids=["classify", "verify", "frobenius", "sweep", "sweep-json", "beatty", "preorder", "preorder-csv", "plot"],
 )
 def test_a_command_imports_only_what_it_runs(argv, code, unused):
     result = run_fresh(FOOTPRINT_WRAPPER, *argv)
