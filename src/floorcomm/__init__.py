@@ -12,19 +12,31 @@ comparisons, reduced Beatty sequence disjointness, lattice avoidance of the
 enlarged diagonal, torus corner-rectangle avoidance, and two-generator
 numerical semigroup membership.
 
-``import floorcomm`` loads ``classify`` and the three modules it runs on,
-``exact``, ``floorfn`` and ``_kernels``.  Every other name of ``__all__`` is
+``import floorcomm`` loads no submodule.  Every name of ``__all__`` is
 imported from its module on first use (PEP 562 module ``__getattr__``) and
-then kept here, so ``beatty``, ``geometry``, ``preorder`` and ``plot`` load
-only when one of their names is read or they are imported themselves.
+then kept here, so a module loads only when one of its names is read or it
+is imported itself.  The CLI's ``classify``, ``verify`` and ``sweep`` run on
+the private integer modules ``_decide``, ``_kernels`` and ``_oracle`` and load
+neither ``dataclasses`` nor the record modules ``classify`` and ``floorfn``.
+
+The package's own class keeps ``floorcomm.classify`` the function: importing
+the submodule of that name sets the package attribute to the module, and
+``_Package.__setattr__`` binds the module's ``classify`` instead.
 """
 
+import sys
 from importlib import import_module
+from types import ModuleType
 
-# Bound now, not on first use: importing the submodule ``floorcomm.classify``
-# sets the package attribute ``classify`` to that module, which would then
-# hide the function from ``__getattr__``.
-from .classify import classify
+
+class _Package(ModuleType):
+    def __setattr__(self, name: str, value: object) -> None:
+        if name == "classify" and isinstance(value, ModuleType):
+            value = value.classify
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 __version__ = "0.1.0"
 

@@ -14,24 +14,24 @@ placing the pair on one of the member families:
 
 Each family condition is a linear congruence in the numerators and
 denominators, so the whole decision runs on the four integer parts of the
-pair, read once: ``_witness`` dispatches on their signs to ``_positive`` or
-``_negative``, which return the witness a scan in increasing m (then n) would
-meet first, and ``_certificate`` returns a non-member's point as a numerator
-and a denominator.  Their integer searches live in ``_kernels``:
+pair, read once, in ``_decide``: its sign dispatch ``_witness`` returns the
+witness a scan in increasing m (then n) would meet first as a tuple (kind,
+params), and ``_counterexample`` a non-member's least violating breakpoint as
+a numerator and a denominator.  The searches and their costs:
 
-    positive line   ``_positive``: least m of m*(a*c) + n*(a*d) = b*c, one
-                    modular inverse (``_least_representation``, shared with
+    positive line   least m of m*(a*c) + n*(a*d) = b*c, one modular inverse
+                    (``_kernels._least_representation``, shared with
                     semigroup membership and the Beatty witness)
-    hyperbola       ``_negative``: the positive line at (-beta, -alpha), n >= 1
-    vertical        ``_negative``: the test c*p <= d
-    sporadic        ``_negative``: None at once when no
+    hyperbola       the positive line at (-beta, -alpha), n >= 1
+    vertical        the test c*p <= d
+    sporadic        None at once when no
                     m <= m_top = (p*(q - 1) - t_min)//q can reach r >= 2
                     (every beta <= -2/p, every q = 1); else O(m_top/G) steps,
-                    one congruence in n per G-th m (``_sporadic``)
-    certificate     ``_certificate``: a non-member's least violating
-                    breakpoint, closed form for alpha > 0 > beta, else the
-                    least k in [1, lcm] of the two numerators with a residue
-                    test, O(lcm) steps (``_least_k``, shared with
+                    one congruence in n per G-th m (``_kernels._sporadic``)
+    certificate     a non-member's least violating breakpoint, closed form
+                    for alpha > 0 > beta, else the least k in [1, lcm] of the
+                    two numerators with a residue test, O(lcm) steps
+                    (``_kernels._least_k``, shared with
                     ``integer_rounding_check``)
 
 where alpha = a/b or -q/p and beta = c/d or -c/d in lowest terms.  The
@@ -40,10 +40,12 @@ polynomial in the bit length of the inputs; the sporadic scan is still linear
 in m_top < p, and the non-member certificate in the lcm of the numerators.
 The certificate search decides membership on its own, so a non-member's
 verdict carries an x with commutator < 0, checked on the integer parts by one
-``floorfn._commutator`` call before x becomes the verdict's one Fraction, and
+``_oracle._commutator`` call before x becomes the verdict's one Fraction, and
 no oracle runs here; the period oracle cross-checks verdicts in the CLI and
-the test suite.  ``positive_witness`` and ``negative_witness`` add their
-guards and call the same ``_positive`` and ``_negative``.
+the test suite.  This module wraps the tuples in the records below: a
+member's witness record is built from its (kind, params) through one table,
+and ``positive_witness`` and ``negative_witness`` add their guards to the
+same searches.
 """
 
 from __future__ import annotations
@@ -53,9 +55,9 @@ from fractions import Fraction
 from math import gcd
 from typing import ClassVar, Union
 
-from ._kernels import _least_k, _least_representation, _sporadic
+from ._decide import _counterexample, _negative, _positive, _witness
 from .exact import Rat, as_rat, positive_rat, require_int, require_type
-from .floorfn import _POSITIVE, DilationPair, _commutator
+from .floorfn import _POSITIVE, DilationPair
 
 _QUADRANT = "symmetries are defined on the open positive quadrant"
 
@@ -149,6 +151,13 @@ def _require_int_fields(witness: PositiveLinear | NegHyperbola | NegVertical | N
 
 Witness = Union[AxisZero, MixedNegPos, PositiveLinear, NegHyperbola, NegVertical, NegSporadic]
 
+_RECORDS = {cls.kind: cls for cls in (AxisZero, MixedNegPos, PositiveLinear, NegHyperbola, NegVertical, NegSporadic)}
+
+
+def _record(witness: tuple[str, tuple[int, ...]] | None) -> Witness | None:
+    """The witness record of a ``_decide`` tuple (kind, params), or None."""
+    return None if witness is None else _RECORDS[witness[0]](*witness[1])
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -202,51 +211,18 @@ class SigmaTau:
             object.__setattr__(self, "tau", positive_rat(tau, "sigma, tau must be positive"))
 
 
-def _positive(a: int, b: int, c: int, d: int) -> PositiveLinear | None:
-    """Least-m solution of m*alpha*beta + n*alpha = beta with m, n >= 0, at alpha = a/b, beta = c/d > 0.
-
-    Times b*d, the equation reads m*(a*c) + n*(a*d) = b*c: the two-generator
-    equation, whose least-m solution ``_kernels._least_representation`` finds
-    with one modular inverse.  n is unique given m and (0, 0) never solves, so
-    this is the smallest-m solution of a scan over m = 0, ..., floor(1/alpha),
-    found in O(log) steps.  Neither a/b nor c/d need be in lowest terms.
-    """
-    mn = _least_representation(a * c, a * d, b * c)
-    return None if mn is None else PositiveLinear(*mn)
-
-
-def _negative(q: int, p: int, c: int, d: int) -> NegHyperbola | NegVertical | NegSporadic | None:
-    """The three negative-quadrant families in a fixed order, at alpha = -q/p, beta = -c/d in lowest terms.
-
-    Hyperbola: m*alpha*beta - n*beta = -alpha is m*(c/d)*(q/p) + n*(c/d) =
-    q/p, the positive line at (c/d, q/p) = (-beta, -alpha).  n decreases in
-    m, so the line's least-m solution is a witness iff its n is >= 1, and
-    then it is the smallest-m one.  O(log) steps.
-    Vertical: alpha = -q/p is forced by lowest terms, leaving -1/p <= beta,
-    that is c*p <= d.
-    Sporadic: the least (m, n, r) of ``_kernels._sporadic``.
-    """
-    mn = _least_representation(c * q, c * p, d * q)
-    if mn is not None and mn[1] >= 1:
-        return NegHyperbola(*mn)
-    if c * p <= d:
-        return NegVertical(p, q)
-    mnr = _sporadic(p, q, c, d)
-    return None if mnr is None else NegSporadic(p, q, *mnr)
-
-
 def positive_witness(alpha: Rat | int, beta: Rat | int) -> PositiveLinear | None:
-    """Least-m solution of m*alpha*beta + n*alpha = beta with m, n >= 0 (``_positive``).
+    """Least-m solution of m*alpha*beta + n*alpha = beta with m, n >= 0 (``_decide._positive``).
 
     Each factor is an int or a Fraction; float and bool raise TypeError.
     """
     if type(alpha) is not Fraction or type(beta) is not Fraction or alpha.numerator <= 0 or beta.numerator <= 0:
         alpha, beta = positive_rat(alpha, _POSITIVE), positive_rat(beta, _POSITIVE)
-    return _positive(alpha.numerator, alpha.denominator, beta.numerator, beta.denominator)
+    return _record(_positive(alpha.numerator, alpha.denominator, beta.numerator, beta.denominator))
 
 
 def negative_witness(alpha: Rat | int, beta: Rat | int) -> NegHyperbola | NegVertical | NegSporadic | None:
-    """Search the three negative-quadrant families in a fixed order (``_negative``).
+    """Search the three negative-quadrant families in a fixed order (``_decide._negative``).
 
     Each factor is an int or a Fraction; float and bool raise TypeError.
     """
@@ -254,21 +230,7 @@ def negative_witness(alpha: Rat | int, beta: Rat | int) -> NegHyperbola | NegVer
         alpha, beta = as_rat(alpha), as_rat(beta)
     if alpha.numerator >= 0 or beta.numerator >= 0:
         raise ValueError("dilation factors must be negative")
-    return _negative(-alpha.numerator, alpha.denominator, -beta.numerator, beta.denominator)
-
-
-_AXIS, _MIXED = AxisZero(), MixedNegPos()  # the fieldless witnesses, one instance each
-
-
-def _witness(a: int, b: int, c: int, d: int) -> Witness | None:
-    """The sign dispatch at alpha = a/b, beta = c/d in lowest terms: the member certificate, or None."""
-    if a > 0 and c > 0:
-        return _positive(a, b, c, d)
-    if a < 0 and c < 0:
-        return _negative(-a, b, -c, d)
-    if a > 0 > c:
-        return None
-    return _AXIS if a == 0 or c == 0 else _MIXED
+    return _record(_negative(-alpha.numerator, alpha.denominator, -beta.numerator, beta.denominator))
 
 
 def is_member(pair: DilationPair) -> bool:
@@ -279,66 +241,25 @@ def is_member(pair: DilationPair) -> bool:
     return _witness(alpha.numerator, alpha.denominator, beta.numerator, beta.denominator) is not None
 
 
-def _certificate(a: int, b: int, c: int, d: int) -> tuple[int, int] | None:
-    """The least violating breakpoint x = N/M > 0 of a non-member as (N, M), M >= 1, or None for a member.
-
-    alpha > 0 > beta: x = 1/(2*max(alpha, -beta)) gives floor(alpha*x) = 0
-    and floor(beta*x) = -1, so the commutator is -ceil(alpha).
-
-    alpha = a/b, beta = c/d, both positive: on floor(alpha*x) = n the
-    commutator is least at the left end x = n/alpha.  Grouping n by
-    k = floor(n*beta), the least n of a group, ceil(k/beta), is its best, and
-    it violates iff beta*ceil(k/beta) < alpha*ceil(k/alpha), that is
-    b*((-k*d) % c) < d*((-k*b) % a).  The least such k gives the least
-    violating n.
-
-    alpha = -q/p, beta = -c/d: on ceil(|beta|*x) = j the commutator is least
-    at the right end x = j/|beta|, where it is negative iff
-    j*|alpha| > (ceil(k/|beta|) - 1)*|beta| with k = floor(j*|alpha|) + 1.
-    Some j of the group k - 1 <= j*|alpha| < k passes iff its largest j does,
-    that is d*(q - (-k*p) % q) < p*(c - (-k*d) % c): the test of ``_least_k``
-    with bar d*q - p*c.  The least k gives the least violating j, the least
-    j above the bound, by one floor.
-
-    alpha = a/b and beta = c/d are in lowest terms; N/M need not be.
-    """
-    if a > 0 > c:
-        return (b, 2 * a) if a * d >= -c * b else (d, -2 * c)
-    if a > 0 and c > 0:
-        k = _least_k(a, b, c, d, 0)
-        return None if k is None else (-(-k * d // c) * b, a)
-    if a < 0 and c < 0:
-        q, p, c = -a, b, -c
-        k = _least_k(q, p, c, d, d * q - p * c)
-        if k is None:
-            return None
-        j = (-(-k * d // c) - 1) * c * p // (d * q) + 1
-        return j * d, c
-    return None
-
-
 def classify(pair: DilationPair) -> Verdict:
     """Full verdict: membership plus a witness or an explicit violating point.
 
     The pair's four integer parts are read once and decide everything.  A
     member carries its family witness.  A non-member carries the least
-    violating breakpoint of ``_certificate``, checked in integers with
-    ``floorfn._commutator`` before its one Fraction is built; the oracle is
-    not run.  The two searches decide membership independently, so a
-    non-member without a certificate, or a certificate whose commutator is
-    not negative, is a bug and raises RuntimeError.
+    violating breakpoint of ``_decide._counterexample``, checked in integers
+    before its one Fraction is built; the oracle is not run.  The two
+    searches decide membership independently, so a non-member without a
+    certificate, or a certificate whose commutator is not negative, is a bug
+    and raises RuntimeError.
     """
     if type(pair) is not DilationPair:
         require_type(pair, DilationPair)
     alpha, beta = pair.alpha, pair.beta
     a, b, c, d = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
     witness = _witness(a, b, c, d)
-    if witness is not None:
-        return Verdict(pair, True, witness, None)
-    x = _certificate(a, b, c, d)
-    if x is None or _commutator(a, b, c, d, *x) >= 0:
-        raise RuntimeError(f"witness search found nothing but no certificate checks out for {pair}")
-    return Verdict(pair, False, None, Fraction(*x))
+    if witness is not None:  # _record inlined: one call less per member
+        return Verdict(pair, True, _RECORDS[witness[0]](*witness[1]), None)
+    return Verdict(pair, False, None, Fraction(*_counterexample(a, b, c, d)))
 
 
 def to_munu(alpha: Rat, beta: Rat) -> MuNu:

@@ -10,13 +10,17 @@ Each command builds its payload once and returns the one text asked for
 ``preorder`` a summary line after them; ``main`` is the only writer of
 command output, and prints a summary only once the text is written.
 
-This module imports ``classify``, ``exact`` and ``floorfn`` (and through
-them ``_kernels``), which ``classify``, ``verify`` and ``sweep`` run.  The
-commands ``beatty``, ``frobenius``, ``preorder`` and ``plot`` each import the
-module they use when they run, so a start loads only what its command runs:
-``classify`` and ``sweep`` load none of ``beatty``, ``geometry``,
-``semigroup``, ``preorder`` or ``plot``.  No command loads ``csv``: ``_csv``
-writes the CSV of ``sweep`` and ``preorder`` by hand.
+This module imports ``exact`` and the private integer modules ``_decide``,
+``_kernels`` and ``_oracle``, which ``classify``, ``verify`` and ``sweep``
+run: they decide and verify each pair on its four integer parts and format
+the ints without building a record, so they load neither ``dataclasses`` nor
+the record modules ``classify`` and ``floorfn``.  The ``*_to_dict``
+functions serialise those records through the same payload builders, and
+``verdict_from_dict`` imports ``classify`` when it runs.  The commands
+``beatty``, ``frobenius``, ``preorder`` and ``plot`` each import the module
+they use when they run, so a start loads only what its command runs.  No
+command loads ``csv``: ``_csv`` writes the CSV of ``sweep`` and ``preorder``
+by hand.
 """
 
 from __future__ import annotations
@@ -26,30 +30,60 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from .classify import Verdict, Witness, _witness, classify
+from ._decide import WITNESS_FIELDS, _counterexample, _witness
+from ._oracle import _report
 from .exact import Rat, format_rat, parse_rat
-from .floorfn import DilationPair, OracleReport, _oracle_min, commutator, oracle_verify
+
+if TYPE_CHECKING:
+    from .classify import Verdict, Witness
+    from .floorfn import OracleReport
 
 _NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$")
 
 
+# The payload builders below serve the record API (``*_to_dict``) and the
+# commands alike, which call them on the ints of ``_decide`` and ``_oracle``.
+
+
+def _witness_payload(kind: str, params: Iterable[int]) -> dict[str, Any]:
+    return dict(zip(("kind", *WITNESS_FIELDS[kind]), (kind, *params)))
+
+
+def _verdict_payload(
+    alpha: str, beta: str, member: bool, witness: dict[str, Any] | None, counterexample: str | None
+) -> dict[str, Any]:
+    return {"alpha": alpha, "beta": beta, "member": member, "witness": witness, "counterexample": counterexample}
+
+
+def _report_payload(period: str, min_value: int, argmin: str, breakpoints: int, samples: int) -> dict[str, Any]:
+    # the fields of OracleReport, in declaration order, with the two Rats as text
+    return {
+        "period": period,
+        "min_value": min_value,
+        "argmin": argmin,
+        "breakpoints_checked": breakpoints,
+        "samples_checked": samples,
+    }
+
+
 def witness_to_dict(witness: Witness | None) -> dict[str, Any] | None:
-    # the fields, in declaration order
-    return None if witness is None else {"kind": witness.kind} | vars(witness)
+    if witness is None:
+        return None
+    return _witness_payload(witness.kind, [getattr(witness, name) for name in WITNESS_FIELDS[witness.kind]])
 
 
 def verdict_to_dict(verdict: Verdict) -> dict[str, Any]:
-    return {
-        "alpha": format_rat(verdict.pair.alpha),
-        "beta": format_rat(verdict.pair.beta),
-        "member": verdict.member,
-        "witness": witness_to_dict(verdict.witness),
-        "counterexample": None if verdict.counterexample is None else format_rat(verdict.counterexample),
-    }
+    x = verdict.counterexample
+    return _verdict_payload(
+        format_rat(verdict.pair.alpha),
+        format_rat(verdict.pair.beta),
+        verdict.member,
+        witness_to_dict(verdict.witness),
+        None if x is None else format_rat(x),
+    )
 
 
 def verdict_from_dict(data: dict[str, Any]) -> Verdict:
@@ -60,6 +94,11 @@ def verdict_from_dict(data: dict[str, Any]) -> Verdict:
     non-member, any point where the commutator is negative (kept as given, so
     the oracle's argmin decodes).
     """
+    from dataclasses import replace
+
+    from .classify import classify
+    from .floorfn import DilationPair, commutator
+
     try:
         alpha, beta = parse_rat(data["alpha"]), parse_rat(data["beta"])
         x = None if data.get("counterexample") is None else parse_rat(data["counterexample"])
@@ -73,12 +112,23 @@ def verdict_from_dict(data: dict[str, Any]) -> Verdict:
 
 
 def report_to_dict(report: OracleReport) -> dict[str, Any]:
-    # the fields, in declaration order, with the two Rats as text
-    return vars(report) | {"period": format_rat(report.period), "argmin": format_rat(report.argmin)}
+    return _report_payload(
+        format_rat(report.period),
+        report.min_value,
+        format_rat(report.argmin),
+        report.breakpoints_checked,
+        report.samples_checked,
+    )
 
 
-def _witness_params(witness: Witness | None) -> list[str]:
-    return [] if witness is None else [f"{key}={value}" for key, value in vars(witness).items()]
+def _oracle_payload(report: tuple[int, int, int, int, int]) -> dict[str, Any]:
+    """``report_to_dict`` of the ``OracleReport`` that ``oracle_verify`` builds from this ``_oracle._report``."""
+    period, least, num, den, breakpoints = report
+    return _report_payload(str(period), least, format_rat(Fraction(num, den)), breakpoints, 2 * breakpoints)
+
+
+def _witness_params(kind: str, params: Iterable[int]) -> list[str]:
+    return [f"{key}={value}" for key, value in zip(WITNESS_FIELDS[kind], params)]
 
 
 def _json(payload: Any) -> str:
@@ -101,43 +151,52 @@ def _csv(rows: Iterable[Sequence[Any]]) -> str:
 
 
 def cmd_classify(args: argparse.Namespace) -> tuple[str, int]:
-    pair = DilationPair(args.alpha, args.beta)
-    verdict = classify(pair)
-    report = None
-    if not args.no_oracle:
-        report = oracle_verify(pair)
-        if not (verdict.member or report.member):
-            # with the oracle on, a non-member's counterexample is its argmin
-            verdict = replace(verdict, counterexample=report.argmin)
-    payload = verdict_to_dict(verdict)
+    alpha, beta = args.alpha, args.beta
+    a, b, c, d = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+    witness = _witness(a, b, c, d)
+    member = witness is not None
+    report = None if args.no_oracle else _report(a, b, c, d)
+    x = None
+    if not member:
+        # with the oracle on, a non-member's counterexample is the oracle's argmin, checked like
+        # the certificate; the certificate is searched only when the oracle finds no negative value
+        x = _counterexample(a, b, c, d, report[2:4] if report is not None and report[1] < 0 else None)
+    payload = _verdict_payload(
+        format_rat(alpha),
+        format_rat(beta),
+        member,
+        None if witness is None else _witness_payload(*witness),
+        None if x is None else format_rat(Fraction(*x)),
+    )
     if report is not None:
-        payload["oracle"] = report_to_dict(report) | {"agrees": report.member == verdict.member}
+        payload["oracle"] = _oracle_payload(report) | {"agrees": (report[1] >= 0) == member}
     if args.fmt == "json":
         text = _json(payload)
     else:
-        text = f"({payload['alpha']}, {payload['beta']}): {'member' if verdict.member else 'non-member'}\n"
-        if verdict.witness is not None:
-            text += " ".join([f"witness: {verdict.witness.kind}", *_witness_params(verdict.witness)]) + "\n"
-        if payload["counterexample"] is not None:
+        text = f"({payload['alpha']}, {payload['beta']}): {'member' if member else 'non-member'}\n"
+        if witness is not None:
+            text += " ".join([f"witness: {witness[0]}", *_witness_params(*witness)]) + "\n"
+        if x is not None:
             text += f"counterexample: x = {payload['counterexample']}\n"
         if report is not None:
             oracle = payload["oracle"]
             agrees = "agrees" if oracle["agrees"] else "DISAGREES"
             text += f"oracle: period {oracle['period']}, min {oracle['min_value']}"
             text += f" at {oracle['argmin']} ({agrees})\n"
-    return text, 0 if verdict.member else 1
+    return text, 0 if member else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    pair = DilationPair(args.alpha, args.beta)
-    report = oracle_verify(pair)
-    payload = {"alpha": format_rat(pair.alpha), "beta": format_rat(pair.beta)}
-    payload |= report_to_dict(report) | {"member": report.member}
+    alpha, beta = args.alpha, args.beta
+    payload = {"alpha": format_rat(alpha), "beta": format_rat(beta)}
+    payload |= _oracle_payload(_report(alpha.numerator, alpha.denominator, beta.numerator, beta.denominator))
+    member = payload["min_value"] >= 0
+    payload["member"] = member
     text = _json(payload) if args.fmt == "json" else (
         "({alpha}, {beta}): {status}; min {min_value} at {argmin} over period {period}"
         " ({breakpoints_checked} breakpoints, {samples_checked} samples)\n"
-    ).format_map(payload | {"status": "member" if report.member else "non-member"})
-    return text, 0 if report.member else 1
+    ).format_map(payload | {"status": "member" if member else "non-member"})
+    return text, 0 if member else 1
 
 
 # on the numerators, which carry the sign of a Fraction
@@ -179,16 +238,14 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int, str]:
         for c, d, beta_text in values:
             if not in_quadrant(a, c):
                 continue
-            # no counterexample column, so the sweep needs the witness and not a Verdict,
-            # and the oracle's least value and not its report
+            # no counterexample column: the sweep needs the witness and the oracle's least value
             witness = _witness(a, b, c, d)
             member = witness is not None
-            oracle_min = _oracle_min(a, b, c, d)[0] if a and c else 0
+            oracle_min = _report(a, b, c, d)[1]
             agree = member == (oracle_min >= 0)
             members += member
             disagreements += not agree
-            kind = "" if witness is None else witness.kind
-            params = ";".join(_witness_params(witness))
+            kind, params = ("", "") if witness is None else (witness[0], ";".join(_witness_params(*witness)))
             rows.append((alpha_text, beta_text, member, kind, params, oracle_min, agree))
     if args.fmt == "json":
         summary = {"pairs": len(rows), "members": members, "disagreements": disagreements}

@@ -1,6 +1,5 @@
 """Non-member certificates: the least violating breakpoint, found without the oracle."""
 
-import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -8,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import signed_grid
-from floorcomm.classify import _certificate, _witness, classify
+from floorcomm import _decide
+from floorcomm._decide import _certificate, _witness
+from floorcomm.classify import classify
 from floorcomm.floorfn import DilationPair, oracle_verify
 from reference_search import fraction_commutator, reference_least_violation
-
-# the package re-exports the function classify under the submodule's name
-CLASSIFY = sys.modules["floorcomm.classify"]
 
 
 def parts(alpha: Fraction, beta: Fraction) -> tuple[int, int, int, int]:
@@ -92,13 +90,13 @@ def test_certificate_violates_at_large_sizes(pair):
 def scan_steps(alpha: Fraction, beta: Fraction) -> int | None:
     """The k the certificate's residue scan stops at, which is its number of steps."""
     found = []
-    least_k = CLASSIFY._least_k
+    least_k = _decide._least_k
 
     def spy(*args):
         found.append(least_k(*args))
         return found[-1]
 
-    with mock.patch.object(CLASSIFY, "_least_k", spy):
+    with mock.patch.object(_decide, "_least_k", spy):
         _certificate(*parts(alpha, beta))
     return found[0] if found else None
 

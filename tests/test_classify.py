@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 from conftest import positive_grid, signed_grid
+from floorcomm import _decide
 from floorcomm.classify import (
     AxisZero,
     MixedNegPos,
@@ -30,6 +31,7 @@ from floorcomm.classify import (
     to_munu,
     to_sigmatau,
 )
+from floorcomm.cli import main
 from floorcomm.floorfn import DilationPair, commutator, oracle_verify
 
 
@@ -156,12 +158,14 @@ def test_classify_is_decided_without_the_oracle():
 
 
 def test_classify_raises_when_no_certificate_checks_out(monkeypatch):
-    module = sys.modules["floorcomm.classify"]
     pair = DilationPair(Fraction(2, 3), Fraction(1, 2))
     for bogus in (None, (1, 2)):  # no certificate, or x = 1/2, where the commutator is 0
-        monkeypatch.setattr(module, "_certificate", lambda a, b, c, d: bogus)
+        # the one checked decision that classify and the CLI share looks the certificate up here
+        monkeypatch.setattr(_decide, "_certificate", lambda a, b, c, d: bogus)
         with pytest.raises(RuntimeError):
             classify(pair)
+        with pytest.raises(RuntimeError):
+            main(["classify", "2/3", "1/2", "--no-oracle"])
 
 
 def test_public_searches_match_the_dispatch_on_grid():

@@ -6,19 +6,20 @@ import json
 import os
 import re
 import subprocess
-import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from typing import get_args
 
 import pytest
 
 from conftest import run_python
-from floorcomm import beatty, cli, preorder
-from floorcomm.classify import classify, is_member
-from floorcomm.cli import main, sweep_values, verdict_from_dict, verdict_to_dict
+from floorcomm import _decide, _oracle, beatty, cli, preorder
+from floorcomm.classify import Witness, classify, is_member
+from floorcomm.cli import main, report_to_dict, sweep_values, verdict_from_dict, verdict_to_dict
 from floorcomm.exact import format_rat
-from floorcomm.floorfn import DilationPair, _oracle_min, oracle_verify
+from floorcomm.floorfn import DilationPair, OracleReport, oracle_verify
 from reference_oracle import reference_oracle_verify
 
 DATA = Path(__file__).parent / "data"
@@ -187,34 +188,26 @@ def test_sweep_csv_contract(capsys, tmp_path):
 
 
 @pytest.fixture
-def oracle_calls(monkeypatch):
-    """Every pair the oracle is run on, through floorcomm.floorfn or by the CLI."""
+def walk_calls(monkeypatch):
+    """The integer parts of every pair the oracle's walk runs on, for the CLI or for oracle_verify."""
     calls = []
+    walk = _oracle._oracle_min
 
-    def counting_oracle(pair):
-        calls.append(pair)
-        return oracle_verify(pair)
+    def counting_walk(a, b, c, d):
+        calls.append((a, b, c, d))
+        return walk(a, b, c, d)
 
-    for module in ("floorcomm.floorfn", "floorcomm.cli"):
-        monkeypatch.setattr(sys.modules[module], "oracle_verify", counting_oracle)
+    monkeypatch.setattr(_oracle, "_oracle_min", counting_walk)
     return calls
 
 
-def test_sweep_runs_the_oracle_once_per_pair(oracle_calls, monkeypatch, capsys):
-    # the sweep runs the oracle's integer kernel, never the report-building oracle_verify
-    kernel_calls = []
-
-    def counting_kernel(a, b, c, d):
-        kernel_calls.append((a, b, c, d))
-        return _oracle_min(a, b, c, d)
-
-    monkeypatch.setattr(cli, "_oracle_min", counting_kernel)
+def test_sweep_runs_the_oracle_once_per_pair(walk_calls, capsys):
+    # one walk per pair off the axes, where the oracle's report needs none
     assert main(["sweep", "-P", "3", "-Q", "3", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     nonzero = [row for row in rows if "0" not in (row["alpha"], row["beta"])]
-    assert len(kernel_calls) == len(nonzero) == len(set(kernel_calls)) < len(rows)
-    assert all(a and c for a, _, c, _ in kernel_calls)
-    assert oracle_calls == []
+    assert len(walk_calls) == len(nonzero) == len(set(walk_calls)) < len(rows)
+    assert all(a and c for a, _, c, _ in walk_calls)
     assert any(row["member"] for row in rows) and not all(row["member"] for row in rows)
 
 
@@ -263,17 +256,103 @@ def test_sweep_csv_equals_a_csv_writer_rendering(quadrant, sweep_4_4_rows, capsy
     assert capsys.readouterr().out == buffer.getvalue()
 
 
-def test_classify_runs_the_oracle_once(oracle_calls, capsys):
+def test_classify_runs_the_oracle_once(walk_calls, capsys):
     for alpha, beta in [("2/3", "1/2"), ("1/3", "1/2"), ("-2", "-5/3"), ("3/7", "-2")]:
-        oracle_calls.clear()
+        walk_calls.clear()
         main(["classify", alpha, beta])
-        assert len(oracle_calls) == 1
+        assert len(walk_calls) == 1
         assert json.loads(capsys.readouterr().out)["oracle"]["agrees"] is True
         main(["classify", alpha, beta, "--no-oracle"])
-        assert len(oracle_calls) == 1
+        assert len(walk_calls) == 1
         assert "oracle" not in json.loads(capsys.readouterr().out)
         classify(DilationPair(Fraction(alpha), Fraction(beta)))
-        assert len(oracle_calls) == 1
+        assert len(walk_calls) == 1
+
+
+@pytest.mark.parametrize("alpha, beta", [("2/3", "1/2"), ("-2", "-5/3"), ("3/7", "-2")])
+def test_classify_takes_a_non_members_counterexample_from_the_oracle(alpha, beta, monkeypatch, capsys):
+    # with the oracle on, the certificate's residue scan is not run
+    def no_scan(*args):
+        raise AssertionError("the certificate was searched")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_decide, "_least_k", no_scan)
+        assert main(["classify", alpha, beta]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["counterexample"] == payload["oracle"]["argmin"]
+    # the argmin is checked like a certificate: a negative minimum claimed at 0 raises
+    with monkeypatch.context() as patch:
+        patch.setattr(_oracle, "_oracle_min", lambda a, b, c, d: (-1, 0, 1))
+        with pytest.raises(RuntimeError):
+            main(["classify", alpha, beta])
+    # without it, the counterexample is still the least certificate
+    assert main(["classify", alpha, beta, "--no-oracle"]) == 1
+    certificate = classify(DilationPair(Fraction(alpha), Fraction(beta))).counterexample
+    assert json.loads(capsys.readouterr().out)["counterexample"] == format_rat(certificate)
+
+
+def test_payload_fields_are_the_record_fields():
+    # the CLI names each witness kind's params and the report's keys without the records
+    assert _decide.WITNESS_FIELDS == {cls.kind: tuple(f.name for f in fields(cls)) for cls in get_args(Witness)}
+    report = oracle_verify(DilationPair(Fraction(2, 3), Fraction(1, 2)))
+    assert list(report_to_dict(report)) == [f.name for f in fields(OracleReport)]
+
+
+def classify_text_from_records(alpha: Fraction, beta: Fraction, oracle: bool, plain: bool) -> tuple[str, int]:
+    """The stdout and exit code of ``classify`` rebuilt from classify, oracle_verify and the *_to_dict payloads."""
+    pair = DilationPair(alpha, beta)
+    verdict = classify(pair)
+    payload = verdict_to_dict(verdict)
+    if oracle:
+        report = oracle_verify(pair)
+        if not (verdict.member or report.member):
+            payload = verdict_to_dict(replace(verdict, counterexample=report.argmin))
+        payload["oracle"] = report_to_dict(report) | {"agrees": report.member == verdict.member}
+    code = 0 if verdict.member else 1
+    if not plain:
+        return json.dumps(payload, indent=2) + "\n", code
+    lines = [f"({payload['alpha']}, {payload['beta']}): {'member' if verdict.member else 'non-member'}"]
+    if payload["witness"] is not None:
+        kind, *params = payload["witness"].items()
+        lines.append(" ".join([f"witness: {kind[1]}", *(f"{key}={value}" for key, value in params)]))
+    if payload["counterexample"] is not None:
+        lines.append(f"counterexample: x = {payload['counterexample']}")
+    if oracle:
+        report = payload["oracle"]
+        agrees = "agrees" if report["agrees"] else "DISAGREES"
+        lines.append(f"oracle: period {report['period']}, min {report['min_value']} at {report['argmin']} ({agrees})")
+    return "\n".join(lines) + "\n", code
+
+
+def verify_text_from_records(alpha: Fraction, beta: Fraction, plain: bool) -> tuple[str, int]:
+    """The stdout and exit code of ``verify`` rebuilt from oracle_verify and report_to_dict."""
+    report = oracle_verify(DilationPair(alpha, beta))
+    payload = {"alpha": format_rat(alpha), "beta": format_rat(beta)} | report_to_dict(report)
+    payload["member"] = report.member
+    code = 0 if report.member else 1
+    if not plain:
+        return json.dumps(payload, indent=2) + "\n", code
+    status = "member" if report.member else "non-member"
+    return (
+        f"({payload['alpha']}, {payload['beta']}): {status}; min {payload['min_value']} at {payload['argmin']}"
+        f" over period {payload['period']} ({payload['breakpoints_checked']} breakpoints,"
+        f" {payload['samples_checked']} samples)\n"
+    ), code
+
+
+def test_integer_commands_print_what_the_records_give(monkeypatch, capsys):
+    # one parser for all 3 174 runs: building it costs more than a run
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    for alpha, beta in product(sweep_values(4, 4), repeat=2):
+        pair = [format_rat(alpha), format_rat(beta)]
+        for plain in (False, True):
+            flags = ["--plain"] if plain else []
+            for oracle in (True, False):
+                code = main(["classify", *pair, *flags, *([] if oracle else ["--no-oracle"])])
+                assert (capsys.readouterr().out, code) == classify_text_from_records(alpha, beta, oracle, plain), pair
+            code = main(["verify", *pair, *flags])
+            assert (capsys.readouterr().out, code) == verify_text_from_records(alpha, beta, plain), pair
 
 
 def test_sweep_negative_positive_quadrant_all_members(tmp_path):

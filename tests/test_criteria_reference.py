@@ -131,7 +131,7 @@ def reaches(module: str, name: str, target: str = "_kernels", bindings: dict | N
 
 INDEPENDENT = [
     "floorfn.oracle_verify",
-    "floorfn._oracle_min",
+    "_oracle._oracle_min",
     "beatty.reduced_disjoint",
     "beatty._least_common_reduced",
     "geometry.lattice_diag_disjoint",

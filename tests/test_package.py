@@ -55,6 +55,17 @@ import floorcomm.classify
 import floorcomm
 assert inspect.isfunction(floorcomm.classify), floorcomm.classify
 """,
+    "classify-through-submodule-imports": """
+import inspect, sys
+import floorcomm
+assert not [name for name in sys.modules if name.startswith("floorcomm.")] and "dataclasses" not in sys.modules
+function = floorcomm.classify
+import floorcomm.classify
+from floorcomm.classify import Verdict
+assert floorcomm.classify is function and inspect.isfunction(function)
+floorcomm.classify = print  # any other value is bound as given
+assert floorcomm.classify is print
+""",
     "classify-after-import-cli": """
 import inspect
 import floorcomm.cli
@@ -96,7 +107,9 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
-UNUSED_BY_DECISIONS = {
+# every command loads the CLI and the integer decision path that it imports
+CLI = {"floorcomm.cli", "floorcomm._decide", "floorcomm._kernels", "floorcomm._oracle"}
+OTHER_COMMANDS = {
     "floorcomm.plot",
     "floorcomm.preorder",
     "floorcomm.geometry",
@@ -104,30 +117,53 @@ UNUSED_BY_DECISIONS = {
     "floorcomm.semigroup",
     "csv",
 }
+RECORDS = {"floorcomm.classify", "floorcomm.floorfn"}
+# classify, verify and sweep decide on ints and format them: no record, so no dataclasses
+BY_INTS = (CLI, OTHER_COMMANDS | RECORDS | {"dataclasses"})
+
+
+def running(module: str, *, records: bool = False) -> tuple[set[str], set[str]]:
+    """A command that loads floorcomm.MODULE beside the CLI, and the record modules only if it decides on records."""
+    loaded = CLI | {f"floorcomm.{module}"}
+    unused = OTHER_COMMANDS - loaded
+    return (loaded | RECORDS, unused) if records else (loaded, unused | RECORDS)
 
 
 @pytest.mark.parametrize(
-    "argv, code, unused",
+    "argv, code, loaded, unused",
     [
-        (["classify", "1/3", "1/2"], 0, UNUSED_BY_DECISIONS),
-        (["verify", "2/3", "1/2"], 1, UNUSED_BY_DECISIONS),
-        (["frobenius", "3", "5"], 0, UNUSED_BY_DECISIONS - {"floorcomm.semigroup"}),
-        (["sweep", "-P", "2", "-Q", "2"], 0, UNUSED_BY_DECISIONS),
-        (["sweep", "-P", "2", "-Q", "2", "--json"], 0, UNUSED_BY_DECISIONS),
-        (["beatty", "5/2", "5/3"], 0, UNUSED_BY_DECISIONS - {"floorcomm.beatty"}),
-        (["preorder", "-P", "2", "-Q", "2"], 0, UNUSED_BY_DECISIONS - {"floorcomm.preorder"}),
-        (["preorder", "-P", "2", "-Q", "2", "--csv"], 0, UNUSED_BY_DECISIONS - {"floorcomm.preorder"}),
-        (["plot"], 0, {"floorcomm.preorder", "floorcomm.geometry", "floorcomm.beatty", "floorcomm.semigroup", "csv"}),
+        (["classify", "1/3", "1/2"], 0, *BY_INTS),
+        (["classify", "2/3", "1/2", "--plain"], 1, *BY_INTS),
+        (["classify", "-2", "-5/3", "--no-oracle"], 1, *BY_INTS),
+        (["verify", "2/3", "1/2"], 1, *BY_INTS),
+        (["frobenius", "3", "5"], 0, *running("semigroup")),
+        (["sweep", "-P", "2", "-Q", "2"], 0, *BY_INTS),
+        (["sweep", "-P", "2", "-Q", "2", "--json"], 0, *BY_INTS),
+        (["beatty", "5/2", "5/3"], 0, *running("beatty")),
+        (["preorder", "-P", "2", "-Q", "2"], 0, *running("preorder", records=True)),
+        (["preorder", "-P", "2", "-Q", "2", "--csv"], 0, *running("preorder", records=True)),
+        (["plot"], 0, *running("plot")),
     ],
-    ids=["classify", "verify", "frobenius", "sweep", "sweep-json", "beatty", "preorder", "preorder-csv", "plot"],
+    ids=[
+        "classify",
+        "classify-plain",
+        "classify-no-oracle",
+        "verify",
+        "frobenius",
+        "sweep",
+        "sweep-json",
+        "beatty",
+        "preorder",
+        "preorder-csv",
+        "plot",
+    ],
 )
-def test_a_command_imports_only_what_it_runs(argv, code, unused):
+def test_a_command_imports_only_what_it_runs(argv, code, loaded, unused):
     result = run_fresh(FOOTPRINT_WRAPPER, *argv)
     assert result.returncode == 0, result.stderr
     child = json.loads(result.stdout)
     assert child["code"] == code
-    # every command imports classify, and with it the kernels
-    assert {"floorcomm.cli", "floorcomm._kernels"} <= set(child["modules"])
+    assert loaded <= set(child["modules"]), loaded - set(child["modules"])
     assert unused.isdisjoint(child["modules"]), unused.intersection(child["modules"])
 
 
