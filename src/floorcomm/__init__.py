@@ -16,8 +16,10 @@ numerical semigroup membership.
 imported from its module on first use (PEP 562 module ``__getattr__``) and
 then kept here, so a module loads only when one of its names is read or it
 is imported itself.  The CLI's ``classify``, ``verify`` and ``sweep`` run on
-the private integer modules ``_decide``, ``_kernels`` and ``_oracle`` and load
-neither ``dataclasses`` nor the record modules ``classify`` and ``floorfn``.
+the private integer modules ``_decide``, ``_kernels`` and ``_oracle``, and
+``preorder`` and ``plot`` on ``_preorder`` and ``_plot`` besides; none of them
+loads ``dataclasses`` or the record modules ``classify``, ``floorfn``,
+``preorder`` and ``plot``.
 
 The package's own class keeps ``floorcomm.classify`` the function: importing
 the submodule of that name sets the package attribute to the module, and

@@ -13,14 +13,17 @@ command output, and prints a summary only once the text is written.
 This module imports ``exact`` and the private integer modules ``_decide``,
 ``_kernels`` and ``_oracle``, which ``classify``, ``verify`` and ``sweep``
 run: they decide and verify each pair on its four integer parts and format
-the ints without building a record, so they load neither ``dataclasses`` nor
-the record modules ``classify`` and ``floorfn``.  The ``*_to_dict``
-functions serialise those records through the same payload builders, and
-``verdict_from_dict`` imports ``classify`` when it runs.  The commands
-``beatty``, ``frobenius``, ``preorder`` and ``plot`` each import the module
-they use when they run, so a start loads only what its command runs.  No
-command loads ``csv``: ``_csv`` writes the CSV of ``sweep`` and ``preorder``
-by hand.
+the ints without building a record.  ``preorder`` and ``plot`` import the
+private modules ``_preorder`` and ``_plot`` when they run, and work on
+integer parts the same way: the relation's rows, its violation and classes
+as indices into the grid, and the figure as tuples of integer pairs.  So
+none of these five commands loads ``dataclasses`` or a record module
+(``classify``, ``floorfn``, ``preorder``, ``plot``).  The ``*_to_dict``
+functions serialise the records through the same payload builders, and
+``verdict_from_dict`` imports ``classify`` when it runs.  ``beatty`` and
+``frobenius`` import the module they use when they run, so a start loads
+only what its command runs.  No command loads ``csv``: ``_csv`` writes the
+CSV of ``sweep`` and ``preorder`` by hand.
 """
 
 from __future__ import annotations
@@ -314,37 +317,34 @@ def cmd_frobenius(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_preorder(args: argparse.Namespace) -> tuple[str, int, str]:
-    from .preorder import Preorder
+    from ._preorder import _classes, _matrix, _rows, _violation
 
-    relation = Preorder.on(v for v in sweep_values(args.num_bound, args.den_bound) if v != 0)
-    labels = [format_rat(v) for v in relation.values]
-    violation = relation.violation()
+    values = [value for value in sweep_values(args.num_bound, args.den_bound) if value != 0]
+    parts = [(value.numerator, value.denominator) for value in values]
+    labels = [format_rat(value) for value in values]
+    rows = _rows(parts)
+    matrix = _matrix(rows, len(rows))
+    violation = _violation(rows)
     if args.fmt == "plain":
-        rows = ([label, *row] for label, row in zip(labels, relation.matrix()))
-        text = _csv([["alpha\\beta", *labels], *rows])
+        text = _csv([["alpha\\beta", *labels], *([label, *row] for label, row in zip(labels, matrix))])
     else:
         text = _json({
             "values": labels,
-            "precedes": relation.matrix(),
-            "transitivity_counterexample": None
-            if violation is None
-            else [format_rat(v) for v in violation],
-            "equivalence_classes": [
-                [format_rat(v) for v in cls] for cls in relation.classes()
-            ],
+            "precedes": matrix,
+            "transitivity_counterexample": None if violation is None else [labels[i] for i in violation],
+            "equivalence_classes": [[labels[i] for i in cls] for cls in _classes(parts, rows)],
         })
-    status = "holds" if violation is None else f"violated: ({', '.join(map(format_rat, violation))})"
+    status = "holds" if violation is None else f"violated: ({', '.join(labels[i] for i in violation)})"
     return text, 0 if violation is None else 1, f"preorder: {len(labels)} values, transitivity {status}"
 
 
 def cmd_plot(args: argparse.Namespace) -> tuple[str, int]:
-    from .plot import PlotSpec, build_plot_model, render_svg
+    from ._plot import COUNT_DEFAULTS, _check_spec, _model, _render
 
-    # a count left off the command line is absent from args, so PlotSpec's own default applies
-    counts = {name: getattr(args, name) for name in ("curve_bound", "sporadic_r_bound", "den_bound", "samples")
-              if name in args}
-    spec = PlotSpec(*args.viewbox, **counts)
-    return render_svg(build_plot_model(spec), width=args.width), 0
+    # a count left off the command line is absent from args and takes its PlotSpec default
+    counts = [getattr(args, name, default) for name, default in COUNT_DEFAULTS.items()]
+    box = _check_spec(*args.viewbox, *counts)
+    return _render(box, *_model(box, *counts), args.width), 0
 
 
 def _add_format_flags(parser: argparse.ArgumentParser, *, plain_name: str = "--plain") -> None:

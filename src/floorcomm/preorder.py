@@ -6,6 +6,9 @@ to positive integers it is divisibility, and restricted to negatives it is
 already a partial order.  This module offers pairwise queries, equivalence,
 and the relation on a finite grid built once, from which the transitivity
 audit and grid equivalence classes under a canonical representative are read.
+``Preorder`` is a thin record over ``_preorder``, which builds the relation,
+reads its violation and classes on the values' integer parts, and which the
+CLI's ``preorder`` calls without building a record.
 """
 
 from __future__ import annotations
@@ -13,9 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from ._preorder import _classes, _matrix, _rows, _violation
 from .classify import is_member
 from .exact import Rat, as_rat
 from .floorfn import DilationPair
+
+_NONZERO = "the preorder is defined on nonzero dilations"
 
 
 def precedes(alpha: Rat, beta: Rat) -> bool:
@@ -25,7 +31,7 @@ def precedes(alpha: Rat, beta: Rat) -> bool:
     """
     pair = DilationPair(alpha, beta)
     if pair.alpha.numerator == 0 or pair.beta.numerator == 0:
-        raise ValueError("the preorder is defined on nonzero dilations")
+        raise ValueError(_NONZERO)
     return is_member(pair)
 
 
@@ -37,7 +43,8 @@ def equivalent(alpha: Rat, beta: Rat) -> bool:
 @dataclass(frozen=True)
 class Preorder:
     """The relation on distinct values as bitmask rows: bit j of rows[i] is set iff
-    values[i] precedes values[j].  ``on`` calls precedes once per ordered pair."""
+    values[i] precedes values[j].  ``on`` decides each ordered pair once, by
+    ``_decide._witness`` on the two values' integer parts (``_preorder._rows``)."""
 
     values: tuple[Rat, ...]
     rows: tuple[int, ...]
@@ -45,34 +52,23 @@ class Preorder:
     @classmethod
     def on(cls, grid: Iterable[Rat]) -> Preorder:
         values = tuple(dict.fromkeys(map(as_rat, grid)))
-        rows = tuple(sum(1 << j for j, b in enumerate(values) if precedes(a, b)) for a in values)
-        return cls(values, rows)
+        if any(value.numerator == 0 for value in values):
+            raise ValueError(_NONZERO)
+        return cls(values, _rows([(value.numerator, value.denominator) for value in values]))
 
     def matrix(self) -> list[list[bool]]:
-        return [[bool(row >> j & 1) for j in range(len(self.values))] for row in self.rows]
+        return _matrix(self.rows, len(self.values))
 
     def violation(self) -> tuple[Rat, Rat, Rat] | None:
         """First (a, b, c) in grid order with a ~ b ~ c, not a ~ c: row b is not inside row a."""
-        for a, row in enumerate(self.rows):
-            for b, row_b in enumerate(self.rows):
-                if missing := row >> b & 1 and row_b & ~row:
-                    c = (missing & -missing).bit_length() - 1
-                    return self.values[a], self.values[b], self.values[c]
-        return None
+        triple = _violation(self.rows)
+        return None if triple is None else tuple(self.values[i] for i in triple)
 
     def classes(self) -> list[list[Rat]]:
         """Classes of mutual precedence, canonical representative (least denominator, then
         numerator) first; classes are ordered by their representatives."""
-        classes: list[list[Rat]] = []
-        assigned = 0
-        for i, row in enumerate(self.rows):
-            if not assigned >> i & 1:
-                mutual = [j for j, row_j in enumerate(self.rows) if row >> j & 1 and row_j >> i & 1]
-                assigned |= sum(1 << j for j in mutual)
-                cls = sorted((self.values[j] for j in mutual), key=lambda v: (v.denominator, v.numerator))
-                classes.append(cls)
-        classes.sort(key=lambda cls: (cls[0].denominator, cls[0].numerator))
-        return classes
+        parts = [(value.numerator, value.denominator) for value in self.values]
+        return [[self.values[i] for i in cls] for cls in _classes(parts, self.rows)]
 
 
 def audit_transitivity(grid: Iterable[Rat]) -> tuple[Rat, Rat, Rat] | None:

@@ -15,12 +15,15 @@ from typing import get_args
 import pytest
 
 from conftest import run_python
-from floorcomm import _decide, _oracle, beatty, cli, preorder
-from floorcomm.classify import Witness, classify, is_member
+from floorcomm import _decide, _oracle, _preorder, beatty, cli
+from floorcomm.classify import Witness, classify
 from floorcomm.cli import main, report_to_dict, sweep_values, verdict_from_dict, verdict_to_dict
 from floorcomm.exact import format_rat
 from floorcomm.floorfn import DilationPair, OracleReport, oracle_verify
+from floorcomm.plot import build_plot_model, render_svg
+from floorcomm.preorder import Preorder
 from reference_oracle import reference_oracle_verify
+from test_plot_reference import FIXED_SPECS
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "plot_M2_D2_R2.svg"
@@ -156,7 +159,11 @@ def test_verdict_from_dict_keeps_any_negative_counterexample(capsys):
     assert verdict_to_dict(verdict) == {key: payload[key] for key in verdict_to_dict(verdict)}
 
 
-@pytest.mark.parametrize("argv", [["sweep", "-P", "0", "-Q", "2"], ["preorder", "-P", "2", "-Q", "0"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "-P", "0", "-Q", "2"], ["preorder", "-P", "2", "-Q", "0"], ["preorder", "-P", "0"], ["preorder", "-Q", "0"]],
+    ids=" ".join,
+)
 def test_grid_bounds_below_one_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -355,6 +362,54 @@ def test_integer_commands_print_what_the_records_give(monkeypatch, capsys):
             assert (capsys.readouterr().out, code) == verify_text_from_records(alpha, beta, plain), pair
 
 
+@pytest.mark.parametrize("width", [640, 1, 333])
+@pytest.mark.parametrize("name", sorted(FIXED_SPECS))
+def test_plot_prints_what_the_records_give(name, width, capsys):
+    spec = FIXED_SPECS[name]
+    box = (spec.alpha_min, spec.alpha_max, spec.beta_min, spec.beta_max)
+    counts = {"-M": spec.curve_bound, "-R": spec.sporadic_r_bound, "-D": spec.den_bound, "--samples": spec.samples}
+    argv = ["plot", "--viewbox", *map(format_rat, box), *(str(arg) for item in counts.items() for arg in item)]
+    assert main([*argv, "--width", str(width)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == render_svg(build_plot_model(spec), width)
+    assert captured.err == ""
+
+
+def preorder_text_from_records(num_bound: int, den_bound: int, csv_format: bool) -> tuple[str, str, int]:
+    """The stdout, stderr and exit code of ``preorder`` rebuilt from the methods of ``Preorder.on``."""
+    relation = Preorder.on(value for value in sweep_values(num_bound, den_bound) if value != 0)
+    labels = [format_rat(value) for value in relation.values]
+    violation = relation.violation()
+    if csv_format:
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["alpha\\beta", *labels])
+        for label, row in zip(labels, relation.matrix()):
+            writer.writerow([label, *("true" if flag else "false" for flag in row)])
+        text = out.getvalue()
+    else:
+        payload = {
+            "values": labels,
+            "precedes": relation.matrix(),
+            "transitivity_counterexample": None if violation is None else [format_rat(v) for v in violation],
+            "equivalence_classes": [[format_rat(v) for v in cls] for cls in relation.classes()],
+        }
+        text = json.dumps(payload, indent=2) + "\n"
+    status = "holds" if violation is None else f"violated: ({', '.join(map(format_rat, violation))})"
+    return text, f"preorder: {len(labels)} values, transitivity {status}\n", 0 if violation is None else 1
+
+
+@pytest.mark.parametrize("csv_format", [False, True], ids=["json", "csv"])
+@pytest.mark.parametrize("num_bound, den_bound", [(2, 2), (4, 4), (5, 4)])
+def test_preorder_prints_what_the_records_give(num_bound, den_bound, csv_format, capsys):
+    # every grid here has a class of several values (1/2 ~ 1 among them), so the classes' order is checked
+    relation = Preorder.on(value for value in sweep_values(num_bound, den_bound) if value != 0)
+    assert any(len(cls) > 1 for cls in relation.classes())
+    code = main(["preorder", "-P", str(num_bound), "-Q", str(den_bound), *(["--csv"] if csv_format else [])])
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err, code) == preorder_text_from_records(num_bound, den_bound, csv_format)
+
+
 def test_sweep_negative_positive_quadrant_all_members(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "-P", "2", "-Q", "2", "--quadrant=-+", "--out", str(out)]) == 0
@@ -433,8 +488,8 @@ def test_preorder_command(capsys):
 
 
 def test_preorder_violation_is_printed_as_rationals(monkeypatch, capsys):
-    violation = (Fraction(1, 2), Fraction(1), Fraction(2))
-    monkeypatch.setattr(preorder.Preorder, "violation", lambda self: violation)
+    # indices into the grid -2, -1, -1/2, 1/2, 1, 2
+    monkeypatch.setattr(_preorder, "_violation", lambda rows: (3, 4, 5))
     assert main(["preorder", "-P", "2", "-Q", "2"]) == 1
     captured = capsys.readouterr()
     assert json.loads(captured.out)["transitivity_counterexample"] == ["1/2", "1", "2"]
@@ -526,11 +581,11 @@ def test_single_pair_commands_match_golden_bytes(argv, single_pair_golden, capsy
 def test_preorder_decides_each_ordered_pair_once(monkeypatch, capsys):
     calls = []
 
-    def counting_is_member(pair):
-        calls.append(pair)
-        return is_member(pair)
+    def counting_witness(*parts):
+        calls.append(parts)
+        return _decide._witness(*parts)
 
-    monkeypatch.setattr(preorder, "is_member", counting_is_member)
+    monkeypatch.setattr(_preorder, "_witness", counting_witness)
     assert main(["preorder", "-P", "3", "-Q", "3"]) == 0
     values = json.loads(capsys.readouterr().out)["values"]
     assert len(calls) == len(values) ** 2 == 196
@@ -591,6 +646,32 @@ def test_plot_width_below_one_is_usage_error(width, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: width must be >= 1, got {width}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["plot", "--samples", "1"], "need at least 2 samples per curve"),
+        (["plot", "-M", "-1"], "family bounds out of range"),
+        (["plot", "-R", "0"], "family bounds out of range"),
+        (["plot", "-D", "0"], "family bounds out of range"),
+        (["plot", "--viewbox", "1", "1", "0", "2"], "empty view box"),
+        (["plot", "--viewbox", "2", "1", "0", "2"], "empty view box"),
+        (["plot", "--viewbox", "0", "2", "1", "1"], "empty view box"),
+        (["plot", "--viewbox", "0", "2", "2", "1"], "empty view box"),
+        # the spec is checked in a fixed order, and before the width
+        (["plot", "--samples", "1", "-M", "-1"], "family bounds out of range"),
+        (["plot", "--viewbox", "1", "1", "0", "2", "-R", "0"], "empty view box"),
+        (["plot", "--width", "0", "-R", "0"], "family bounds out of range"),
+        (["plot", "--width", "0", "--viewbox", "1", "1", "0", "2"], "empty view box"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else "",
+)
+def test_plot_spec_errors_keep_their_messages(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_plot_unwritable_output(capsys):

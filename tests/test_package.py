@@ -109,40 +109,42 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 
 # every command loads the CLI and the integer decision path that it imports
 CLI = {"floorcomm.cli", "floorcomm._decide", "floorcomm._kernels", "floorcomm._oracle"}
-OTHER_COMMANDS = {
-    "floorcomm.plot",
-    "floorcomm.preorder",
-    "floorcomm.geometry",
-    "floorcomm.beatty",
-    "floorcomm.semigroup",
-    "csv",
-}
-RECORDS = {"floorcomm.classify", "floorcomm.floorfn"}
-# classify, verify and sweep decide on ints and format them: no record, so no dataclasses
-BY_INTS = (CLI, OTHER_COMMANDS | RECORDS | {"dataclasses"})
+# the modules that only beatty and frobenius load
+OTHER_COMMANDS = {"floorcomm.geometry", "floorcomm.beatty", "floorcomm.semigroup", "csv"}
+# the record modules, which no command loads
+RECORDS = {"floorcomm.classify", "floorcomm.floorfn", "floorcomm.plot", "floorcomm.preorder"}
 
 
-def running(module: str, *, records: bool = False) -> tuple[set[str], set[str]]:
-    """A command that loads floorcomm.MODULE beside the CLI, and the record modules only if it decides on records."""
+def by_ints(*private: str) -> tuple[set[str], set[str]]:
+    """A command on integer parts, with the private modules it adds to the CLI's: no record, so no dataclasses."""
+    return CLI | {f"floorcomm.{module}" for module in private}, OTHER_COMMANDS | RECORDS | {"dataclasses"}
+
+
+def running(module: str) -> tuple[set[str], set[str]]:
+    """A command that loads floorcomm.MODULE beside the CLI, and no record module."""
     loaded = CLI | {f"floorcomm.{module}"}
-    unused = OTHER_COMMANDS - loaded
-    return (loaded | RECORDS, unused) if records else (loaded, unused | RECORDS)
+    return loaded, (OTHER_COMMANDS - loaded) | RECORDS
 
 
 @pytest.mark.parametrize(
     "argv, code, loaded, unused",
     [
-        (["classify", "1/3", "1/2"], 0, *BY_INTS),
-        (["classify", "2/3", "1/2", "--plain"], 1, *BY_INTS),
-        (["classify", "-2", "-5/3", "--no-oracle"], 1, *BY_INTS),
-        (["verify", "2/3", "1/2"], 1, *BY_INTS),
+        (["classify", "1/3", "1/2"], 0, *by_ints()),
+        (["classify", "2/3", "1/2", "--plain"], 1, *by_ints()),
+        (["classify", "-2", "-5/3", "--no-oracle"], 1, *by_ints()),
+        (["verify", "2/3", "1/2"], 1, *by_ints()),
         (["frobenius", "3", "5"], 0, *running("semigroup")),
-        (["sweep", "-P", "2", "-Q", "2"], 0, *BY_INTS),
-        (["sweep", "-P", "2", "-Q", "2", "--json"], 0, *BY_INTS),
+        (["sweep", "-P", "2", "-Q", "2"], 0, *by_ints()),
+        (["sweep", "-P", "2", "-Q", "2", "--json"], 0, *by_ints()),
         (["beatty", "5/2", "5/3"], 0, *running("beatty")),
-        (["preorder", "-P", "2", "-Q", "2"], 0, *running("preorder", records=True)),
-        (["preorder", "-P", "2", "-Q", "2", "--csv"], 0, *running("preorder", records=True)),
-        (["plot"], 0, *running("plot")),
+        (["preorder", "-P", "2", "-Q", "2"], 0, *by_ints("_preorder")),
+        (["preorder", "-P", "2", "-Q", "2", "--csv"], 0, *by_ints("_preorder")),
+        (["plot"], 0, *by_ints("_plot")),
+        (
+            ["plot", "-M", "6", "-D", "6", "-R", "4", "--samples", "256", "--viewbox", "-3", "3", "-3", "3"],
+            0,
+            *by_ints("_plot"),
+        ),
     ],
     ids=[
         "classify",
@@ -156,6 +158,7 @@ def running(module: str, *, records: bool = False) -> tuple[set[str], set[str]]:
         "preorder",
         "preorder-csv",
         "plot",
+        "plot-bounds-viewbox",
     ],
 )
 def test_a_command_imports_only_what_it_runs(argv, code, loaded, unused):

@@ -44,6 +44,12 @@ def test_grid_values_are_refused_before_the_dedup():
         with pytest.raises(TypeError):
             audit_transitivity(grid)
     assert Preorder.on([1, Fraction(1), Fraction(2, 2)]).values == (Fraction(1),)
+    # a zero is refused after the type checks, and wherever it stands in the grid
+    for grid, error in (([Fraction(1, 2), 0], ValueError), ([Fraction(0)], ValueError), ([0, 0.5], TypeError)):
+        with pytest.raises(error):
+            audit_transitivity(grid)
+        with pytest.raises(error):
+            equivalence_classes(grid)
 
 
 def test_equivalent_examples():
