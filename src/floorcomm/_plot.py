@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .exact import Rat, as_rat, require_int
+from .exact import Rat, _rat_text, as_rat, require_int
 
 Pair = tuple[int, int]  # num, den with den > 0
 
@@ -235,12 +235,6 @@ def _pixel_map(origin: Pair, span: Pair, pixels: int):
     return to_text
 
 
-def _text(num: int, den: int) -> str:
-    """num/den as ``format_rat`` prints it: in lowest terms, ``p`` or ``p/q``."""
-    g = gcd(num, den)
-    return str(num // g) if den == g else f"{num // g}/{den // g}"
-
-
 def _render(
     box: tuple[Rat, Rat, Rat, Rat],
     mixed: tuple[Pair, Pair, Pair, Pair] | None,
@@ -307,7 +301,7 @@ def _render(
         x = sx(*alpha)
         groups["vertical-segments"].append(
             f'<line class="segment" data-p="{p}" data-q="{q}"'
-            f' data-alpha="{_text(*alpha)}"'
+            f' data-alpha="{_rat_text(*alpha)}"'
             f' x1="{x}" y1="{sy(*beta_lo)}"'
             f' x2="{x}" y2="{sy(*beta_hi)}"'
             f' stroke="#d62728" stroke-width="1.6" fill="none"/>'
@@ -317,11 +311,11 @@ def _render(
     last_alpha = None
     for p, q, m, n, r, alpha, beta in sporadics:
         if alpha != last_alpha:
-            last_alpha, alpha_text, x = alpha, _text(*alpha), sx(*alpha)
+            last_alpha, alpha_text, x = alpha, _rat_text(*alpha), sx(*alpha)
         groups["sporadic-points"].append(
             f'<circle class="sporadic" data-p="{p}" data-q="{q}" data-m="{m}"'
             f' data-n="{n}" data-r="{r}" data-alpha="{alpha_text}"'
-            f' data-beta="{_text(*beta)}"'
+            f' data-beta="{_rat_text(*beta)}"'
             f' cx="{x}" cy="{sy(*beta)}" r="3" fill="#d62728"/>'
         )
 

@@ -20,10 +20,10 @@ as indices into the grid, and the figure as tuples of integer pairs.  So
 none of these five commands loads ``dataclasses`` or a record module
 (``classify``, ``floorfn``, ``preorder``, ``plot``).  The ``*_to_dict``
 functions serialise the records through the same payload builders, and
-``verdict_from_dict`` imports ``classify`` when it runs.  ``beatty`` and
-``frobenius`` import the module they use when they run, so a start loads
-only what its command runs.  No command loads ``csv``: ``_csv`` writes the
-CSV of ``sweep`` and ``preorder`` by hand.
+``verdict_from_dict`` checks a payload's proof on its integer parts and
+imports the records only to build the ``Verdict``.  ``beatty`` and
+``frobenius`` import the module they use when they run, so a start loads only
+what its command runs.  No command loads ``csv``: ``_csv`` writes CSV by hand.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ._decide import WITNESS_FIELDS, _counterexample, _witness
-from ._oracle import _report
-from .exact import Rat, format_rat, parse_rat
+from ._oracle import _commutator, _report
+from .exact import Rat, _rat_text, format_rat, parse_rat, require_int
 
 if TYPE_CHECKING:
     from .classify import Verdict, Witness
@@ -63,13 +63,8 @@ def _verdict_payload(
 
 def _report_payload(period: str, min_value: int, argmin: str, breakpoints: int, samples: int) -> dict[str, Any]:
     # the fields of OracleReport, in declaration order, with the two Rats as text
-    return {
-        "period": period,
-        "min_value": min_value,
-        "argmin": argmin,
-        "breakpoints_checked": breakpoints,
-        "samples_checked": samples,
-    }
+    keys = ("period", "min_value", "argmin", "breakpoints_checked", "samples_checked")
+    return dict(zip(keys, (period, min_value, argmin, breakpoints, samples)))
 
 
 def witness_to_dict(witness: Witness | None) -> dict[str, Any] | None:
@@ -90,28 +85,29 @@ def verdict_to_dict(verdict: Verdict) -> dict[str, Any]:
 
 
 def verdict_from_dict(data: dict[str, Any]) -> Verdict:
-    """Decode a ``verdict_to_dict`` payload by deciding its pair again with ``classify``.
+    """Decode a ``verdict_to_dict`` payload by checking its proof on the pair's integer parts.
 
-    ValueError unless ``data`` is such a payload, its ``member`` and ``witness``
-    are that verdict's, and the counterexample is None for a member and, for a
-    non-member, any point where the commutator is negative (kept as given, so
-    the oracle's argmin decodes).
+    ValueError unless ``data`` is such a payload and proves itself: a
+    non-member by any point where one ``_commutator`` call is negative, kept
+    as given so the oracle's argmin decodes, and no search runs; a member by
+    the witness ``_witness`` finds, since only the search shows it is least.
     """
-    from dataclasses import replace
-
-    from .classify import classify
-    from .floorfn import DilationPair, commutator
+    from .classify import Verdict, _record
+    from .floorfn import DilationPair
 
     try:
         alpha, beta = parse_rat(data["alpha"]), parse_rat(data["beta"])
         x = None if data.get("counterexample") is None else parse_rat(data["counterexample"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a verdict_to_dict payload: {exc!r}") from exc
-    verdict = classify(DilationPair(alpha, beta))
-    same = data.get("member") is verdict.member and data.get("witness") == witness_to_dict(verdict.witness)
-    if not (same and (verdict.member if x is None else commutator(verdict.pair, x) < 0)):
+    a, b, c, d = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+    member = x is None
+    witness = _witness(a, b, c, d) if member else None
+    proved = witness is not None if member else _commutator(a, b, c, d, x.numerator, x.denominator) < 0
+    claimed = None if witness is None else _witness_payload(*witness)
+    if not (proved and data.get("member") is member and data.get("witness") == claimed):
         raise ValueError(f"not the verdict of ({data['alpha']}, {data['beta']})")
-    return verdict if x is None else replace(verdict, counterexample=x)
+    return Verdict(DilationPair(alpha, beta), member, _record(witness), x)
 
 
 def report_to_dict(report: OracleReport) -> dict[str, Any]:
@@ -127,7 +123,7 @@ def report_to_dict(report: OracleReport) -> dict[str, Any]:
 def _oracle_payload(report: tuple[int, int, int, int, int]) -> dict[str, Any]:
     """``report_to_dict`` of the ``OracleReport`` that ``oracle_verify`` builds from this ``_oracle._report``."""
     period, least, num, den, breakpoints = report
-    return _report_payload(str(period), least, format_rat(Fraction(num, den)), breakpoints, 2 * breakpoints)
+    return _report_payload(str(period), least, _rat_text(num, den), breakpoints, 2 * breakpoints)
 
 
 def _witness_params(kind: str, params: Iterable[int]) -> list[str]:
@@ -169,7 +165,7 @@ def cmd_classify(args: argparse.Namespace) -> tuple[str, int]:
         format_rat(beta),
         member,
         None if witness is None else _witness_payload(*witness),
-        None if x is None else format_rat(Fraction(*x)),
+        None if x is None else _rat_text(*x),
     )
     if report is not None:
         payload["oracle"] = _oracle_payload(report) | {"agrees": (report[1] >= 0) == member}
@@ -213,7 +209,9 @@ _QUADRANT_TESTS = {
 
 
 def sweep_values(num_bound: int, den_bound: int) -> list[Rat]:
-    """All distinct rationals p/q with |p| <= num_bound, 1 <= q <= den_bound, plus 0."""
+    """Distinct p/q with |p| <= num_bound, 1 <= q <= den_bound, plus 0; a bool or float bound raises TypeError."""
+    require_int(num_bound, "num_bound")
+    require_int(den_bound, "den_bound")
     if num_bound < 1 or den_bound < 1:
         raise ValueError("sweep bounds must be >= 1")
     values = {Fraction(0)}

@@ -1,16 +1,17 @@
 """Exact rational scalars: construction, parsing, floor and ceiling.
 
-Every quantity in this package is a ``fractions.Fraction`` (aliased ``Rat``),
-kept in lowest terms with a positive denominator, so equality is structural
-and no computation ever rounds.  The textual format is ``p`` or ``p/q`` with
-q >= 1; decimal notation is rejected on purpose, because it cannot represent
-the dilation factors exactly.
+A rational of the public API is a ``fractions.Fraction`` (aliased ``Rat``) in
+lowest terms with a positive denominator, so equality is structural and no
+computation rounds; the decision path under it runs on integer parts, printed
+by ``_rat_text``.  The text format is ``p`` or ``p/q`` with q >= 1: decimals
+are refused, as they cannot represent the dilation factors exactly.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 Rat = Fraction
 
@@ -93,3 +94,9 @@ def format_rat(x: Rat | int) -> str:
     if type(x) is not Fraction:
         x = as_rat(x)
     return str(x)
+
+
+def _rat_text(num: int, den: int) -> str:
+    """num/den, den > 0, as ``format_rat`` prints it: in lowest terms, ``p`` or ``p/q``, no Fraction built."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, JSON round-trips, deterministic output."""
 
+import argparse
 import csv
 import io
 import json
@@ -9,10 +10,13 @@ import subprocess
 from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from pathlib import Path
 from typing import get_args
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_python
 from floorcomm import _decide, _oracle, _preorder, beatty, cli
@@ -77,8 +81,12 @@ def test_classify_plain_format(capsys):
     assert "witness: positive_linear m=1 n=1" in out
 
 
-def test_verdict_json_round_trip(capsys):
-    pairs = [
+def test_verdict_json_round_trip(monkeypatch, capsys):
+    # one parser for all runs: building it costs more than a run
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    grid = [(format_rat(alpha), format_rat(beta)) for alpha, beta in product(sweep_values(3, 3), repeat=2)]
+    pairs = grid + [
         ("1/3", "1/2"),
         ("-3/2", "-3/4"),
         ("2/3", "1/2"),
@@ -97,15 +105,68 @@ def test_verdict_json_round_trip(capsys):
         assert verdict_from_dict(payload) == classify(pair)
         # and the dict encoding itself round-trips exactly
         assert verdict_to_dict(verdict_from_dict(payload)) == payload
-        # with the oracle on, the counterexample is the oracle's argmin
+        # with the oracle on, the counterexample is the oracle's argmin, and it decodes as given
         main(["classify", alpha, beta])
         default = json.loads(capsys.readouterr().out)
         if default["member"]:
             assert default["counterexample"] is None
         else:
             assert default["counterexample"] == default["oracle"]["argmin"]
+        verdict = verdict_from_dict(default)
+        assert verdict == replace(classify(pair), counterexample=verdict.counterexample)
+        assert verdict_to_dict(verdict) == {key: default[key] for key in payload}
     # the certificate and the argmin differ here
     assert payload["counterexample"] == "3/5" and default["counterexample"] == "11/20"
+
+
+BIG = 10**18
+
+
+@st.composite
+def large_pairs(draw):
+    """(alpha, beta, member) with parts up to about 10**18, in a shape whose verdict is known and fast.
+
+    Members lie on the positive line m*alpha*beta + n*alpha = beta or on the
+    negative hyperbola, the positive line at (-beta, -alpha) with n >= 1.
+    Non-members are +- pairs, or same-sign pairs whose numerators multiply to
+    at most 6 (the certificate's scan is short) and that no family reaches:
+    a/b, c/d > 0 with a >= 2 coprime to b and c, so a does not divide b*c in
+    m*a*c + n*a*d = b*c; or -q/p, -c/d with c >= 2 coprime to q (no
+    hyperbola) and c*p >= 2*d, outside the vertical segment and the
+    sporadic band.
+    """
+    part = st.integers(1, BIG)
+    shape = draw(st.sampled_from(["line", "hyperbola", "+-", "++ non-member", "-- non-member"]))
+    if shape in ("line", "hyperbola"):
+        a, b = draw(part), draw(part)
+        m, n = draw(st.integers(0, (b - 1) // a)), draw(st.integers(1 if shape == "hyperbola" else 0, BIG))
+        u = Fraction(a, b)
+        if shape == "line" and n == 0:  # m*alpha*beta = beta: alpha = 1/m for any beta
+            return Fraction(1, max(m, 1)), u, True
+        v = n * u / (1 - m * u)  # m*u*v + n*u = v
+        return (u, v, True) if shape == "line" else (-v, -u, True)
+    if shape == "+-":
+        return Fraction(draw(part), draw(part)), Fraction(-draw(part), draw(part)), False
+    a, c = draw(st.sampled_from([(2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1), (6, 1)]))  # a >= 2 coprime to c
+    if shape == "++ non-member":
+        b, d = draw(part.filter(lambda b: gcd(b, a) == 1)), draw(part)
+        return Fraction(a, b), Fraction(c, d), False
+    q, c = c, a
+    d = draw(part.filter(lambda d: gcd(d, c) == 1))
+    p = draw(st.integers(-(-2 * d // c), BIG).filter(lambda p: gcd(p, q) == 1))
+    return Fraction(-q, p), Fraction(-c, d), False
+
+
+@given(large_pairs())
+@settings(max_examples=150, deadline=None)
+def test_verdict_round_trip_at_large_parts(pair):
+    alpha, beta, member = pair
+    verdict = classify(DilationPair(alpha, beta))
+    assert verdict.member is member
+    text, _ = cli.cmd_classify(argparse.Namespace(alpha=alpha, beta=beta, no_oracle=True, fmt="json"))
+    payload = json.loads(text)
+    assert verdict_from_dict(payload) == verdict
+    assert verdict_to_dict(verdict_from_dict(payload)) == payload
 
 
 BOGUS_MEMBER = {"alpha": "2/3", "beta": "1/2", "member": True, "witness": {"kind": "positive_linear", "m": 1, "n": 1}}
@@ -135,6 +196,17 @@ BOGUS_MEMBER = {"alpha": "2/3", "beta": "1/2", "member": True, "witness": {"kind
         {"alpha": "2/3", "beta": "1/2", "member": False, "witness": None, "counterexample": None},
         {"alpha": "2/3", "beta": "1/2", "member": False, "witness": None, "counterexample": "1"},
         {"alpha": "2/3", "beta": "1/2", "member": False, "witness": None, "counterexample": "x"},
+        # a non-member dressed as a member without a witness
+        {"alpha": "2/3", "beta": "1/2", "member": True, "witness": None, "counterexample": None},
+        # a non-member's valid point under a member's flag, or beside a witness
+        {"alpha": "2/3", "beta": "1/2", "member": True, "witness": None, "counterexample": "3"},
+        {
+            "alpha": "2/3",
+            "beta": "1/2",
+            "member": False,
+            "witness": {"kind": "positive_linear", "m": 1, "n": 1},
+            "counterexample": "3",
+        },
         # not a verdict_to_dict payload at all: a missing key, a number for a rational, not a dict
         {},
         {"alpha": 1, "beta": "1/2", "member": True, "witness": {"kind": "positive_linear", "m": 1, "n": 1}},
@@ -157,6 +229,33 @@ def test_verdict_from_dict_keeps_any_negative_counterexample(capsys):
     assert verdict.counterexample == Fraction(11, 20)
     assert verdict.pair == DilationPair(-2, Fraction(-5, 3)) and not verdict.member
     assert verdict_to_dict(verdict) == {key: payload[key] for key in verdict_to_dict(verdict)}
+
+
+def test_verdict_from_dict_reads_a_non_member_without_a_search(monkeypatch):
+    payloads = []
+    for alpha, beta in product(sweep_values(3, 3), repeat=2):
+        for no_oracle in (False, True):
+            text, code = cli.cmd_classify(argparse.Namespace(alpha=alpha, beta=beta, no_oracle=no_oracle, fmt="json"))
+            if code == 1:
+                payloads.append(json.loads(text))
+    assert len(payloads) > 100
+
+    def no_search(*parts):
+        raise AssertionError(f"searched {parts}")
+
+    # the point is checked by one commutator call: no witness search, no certificate search
+    monkeypatch.setattr(_decide, "_certificate", no_search)
+    monkeypatch.setattr(cli, "_witness", no_search)
+    for payload in payloads:
+        verdict = verdict_from_dict(payload)
+        assert not verdict.member and verdict.witness is None
+        assert format_rat(verdict.counterexample) == payload["counterexample"]
+
+
+@pytest.mark.parametrize("bounds", [(True, True), (2.5, 2), (2, 2.0), (3, False)])
+def test_sweep_values_refuses_bounds_that_are_not_ints(bounds):
+    with pytest.raises(TypeError, match="_bound must be an int"):
+        sweep_values(*bounds)
 
 
 @pytest.mark.parametrize(
