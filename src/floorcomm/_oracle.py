@@ -8,6 +8,15 @@
 formats straight from it.  The oracle is an independent check of the
 decision path, so nothing here reaches ``_kernels``;
 ``tests/test_criteria_reference.py`` reads that from the source.
+
+The walk stops early at the commutator's floor, -ceil(max(alpha, 0) +
+max(-beta, 0)), which rests on floor arithmetic alone.  With alpha*x =
+floor(alpha*x) + t and beta*x = floor(beta*x) + s, 0 <= s, t < 1, and
+y - 1 < floor(y) <= y on both compositions, the commutator exceeds
+alpha*floor(beta*x) - beta*floor(alpha*x) - 1 = beta*t - alpha*s - 1 >=
+-max(alpha, 0) - max(-beta, 0) - 1, and it is an integer.  The floor is 0
+at most, and the walk stops only on a new least value, so only after a
+negative one: the sign, and with it the member answer, never depends on it.
 """
 
 from __future__ import annotations
@@ -28,8 +37,12 @@ def _oracle_min(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
 
     Breakpoints are scaled by |a*c|, so the progressions are k*step_a and
     j*step_b in integers, and a period holds step_b alpha points and step_a
-    beta points.  The scan walks the step_i = min(step_a, step_b) gaps of the
-    sparser, outer progression: O(1) work per gap, O(1) extra memory.
+    beta points.  The scan walks at most the step_i = min(step_a, step_b)
+    gaps of the sparser, outer progression: O(1) work per gap, two running
+    sums in place of products, and O(1) extra memory.  It ends at the first
+    gap whose value is the floor of the module docstring, which no value
+    lies below, so the least value, the argmin and the breakpoint count are
+    those of the whole period.
 
     On outer gap j, (j*step_o, (j+1)*step_o), the outer progression's inner
     floor is j for a positive factor and -j-1 for a negative one; on the
@@ -67,11 +80,17 @@ def _oracle_min(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
         r, v = d, b
     # where the second term grows with k (u > 0) the least value is on the last sub-gap
     e = step_o - 1 if u > 0 else 0
+    floor = ((-a if a > 0 else 0) * d + (c if c < 0 else 0) * b) // (b * d)  # no value lies below it
     best = 0  # x = 0 is the first sample and the commutator vanishes there
+    top, num = q, e  # p*j + q and step_o*j + e, as running sums
     for j in range(step_i):
-        value = (p * j + q) // r - (u * ((step_o * j + e) // step_i) + w) // v
+        value = top // r - (u * (num // step_i) + w) // v
         if value < best:
             best, best_j = value, j
+            if value == floor:
+                break
+        top += p
+        num += step_o
     best_num = 0
     if best < 0:
         lo = best_j * step_o

@@ -90,7 +90,8 @@ def verdict_from_dict(data: dict[str, Any]) -> Verdict:
     ValueError unless ``data`` is such a payload and proves itself: a
     non-member by any point where one ``_commutator`` call is negative, kept
     as given so the oracle's argmin decodes, and no search runs; a member by
-    the witness ``_witness`` finds, since only the search shows it is least.
+    the witness ``_witness`` finds, since only the search shows it is least,
+    with every param an int (not a bool or a float equal to one).
     """
     from .classify import Verdict, _record
     from .floorfn import DilationPair
@@ -105,7 +106,10 @@ def verdict_from_dict(data: dict[str, Any]) -> Verdict:
     witness = _witness(a, b, c, d) if member else None
     proved = witness is not None if member else _commutator(a, b, c, d, x.numerator, x.denominator) < 0
     claimed = None if witness is None else _witness_payload(*witness)
-    if not (proved and data.get("member") is member and data.get("witness") == claimed):
+    given = data.get("witness")
+    # == alone takes JSON true or 1.0 for a param 1, so each param's type is checked, as `is` checks the flag's
+    exact = given == claimed and (witness is None or all(type(given[key]) is int for key in WITNESS_FIELDS[witness[0]]))
+    if not (proved and data.get("member") is member and exact):
         raise ValueError(f"not the verdict of ({data['alpha']}, {data['beta']})")
     return Verdict(DilationPair(alpha, beta), member, _record(witness), x)
 

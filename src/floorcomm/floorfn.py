@@ -11,8 +11,8 @@ points of (1/alpha)Z u (1/beta)Z.  The oracle therefore decides the sign of
 the commutator over all of R by evaluating finitely many exact points.
 
 It walks one period along the gaps of the sparser of the two arithmetic
-progressions k/|alpha| and j/|beta|, storing no points, so it takes
-min(|a|*d, |c|*b) steps and O(1) extra memory.  On such a gap that
+progressions k/|alpha| and j/|beta|, storing no points, so it takes at
+most min(|a|*d, |c|*b) steps and O(1) extra memory.  On such a gap that
 progression's inner floor is fixed and the other's runs through consecutive
 integers, so the commutator is monotone across the gap, and one sample at
 its first or its last sub-gap gives the gap's least value.
@@ -65,10 +65,11 @@ class OracleReport:
     ``min_value`` is the exact global minimum over all real x; ``argmin`` is
     the first sample in [0, period) attaining it, in increasing order, where
     each breakpoint comes before the gap after it.  ``breakpoints_checked``
-    counts the breakpoints of one period that the scan covers, not the steps
-    it takes, and ``samples_checked`` the samples it covers, a breakpoint and
-    a gap for each.  By continuity and monotonicity one evaluation per gap of
-    the sparser progression settles them all.
+    counts the breakpoints of one period that the scan covers, whether
+    walked or bounded by the commutator's floor once the walk reaches it,
+    not the steps it takes, and ``samples_checked`` the samples it covers, a
+    breakpoint and a gap for each.  By continuity and monotonicity one
+    evaluation per gap of the sparser progression settles them all.
     """
 
     period: Rat

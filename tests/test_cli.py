@@ -211,6 +211,9 @@ BOGUS_MEMBER = {"alpha": "2/3", "beta": "1/2", "member": True, "witness": {"kind
         {},
         {"alpha": 1, "beta": "1/2", "member": True, "witness": {"kind": "positive_linear", "m": 1, "n": 1}},
         {"alpha": "2/3", "beta": "1/2", "member": False, "witness": None, "counterexample": 5},
+        # a member's witness whose params are not ints, though they compare equal to them
+        {"alpha": "1/3", "beta": "1/2", "member": True, "witness": {"kind": "positive_linear", "m": True, "n": 1.0}},
+        {"alpha": "1/3", "beta": "1/2", "member": True, "witness": {"kind": "positive_linear", "m": 1.0, "n": 1}},
         [],
         None,
     ],
@@ -776,6 +779,14 @@ def test_plot_spec_errors_keep_their_messages(argv, message, capsys):
 def test_plot_unwritable_output(capsys):
     assert main(["plot", "--out", "/nonexistent-dir/x.svg"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_classify_ends_at_the_floor_on_a_billion_gap_period():
+    # the oracle's period holds about 10^9 gaps; it stops at the first value -1
+    result = run_python("-m", "floorcomm", "classify", "999/1000003", "1001/1000007", capture_output=True, text=True)
+    assert result.returncode == 1
+    payload = json.loads(result.stdout)
+    assert payload["counterexample"] == payload["oracle"]["argmin"] == "1000003000/999"
 
 
 def test_module_entry_point_smoke():

@@ -7,7 +7,7 @@ of up to 10^6 points, where the oracle walks far fewer gaps than it does.
 
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -29,6 +29,30 @@ def breakpoint_count(alpha: Fraction, beta: Fraction) -> int:
     on_a = abs(alpha.numerator) * beta.denominator
     on_b = abs(beta.numerator) * alpha.denominator
     return on_a + on_b - gcd(on_a, on_b)
+
+
+def commutator_floor(alpha: Fraction, beta: Fraction) -> int:
+    """-ceil(max(alpha, 0) + max(-beta, 0)): no commutator value of the pair lies below it.
+
+    With y - 1 < floor(y) <= y on both compositions, and alpha*x, beta*x each
+    less than 1 above their floors, the commutator exceeds
+    -max(alpha, 0) - max(-beta, 0) - 1, and it is an integer.
+    """
+    return -ceil(max(alpha, Fraction(0)) + max(-beta, Fraction(0)))
+
+
+def test_reference_minimum_is_at_least_the_floor_and_reaches_it():
+    grid = signed_grid(8, 8)
+    reached = set()
+    for alpha in grid:
+        for beta in grid:
+            least = reference_oracle_verify(DilationPair(alpha, beta)).min_value
+            floor = commutator_floor(alpha, beta)
+            assert least >= floor, (alpha, beta)
+            if least == floor:
+                reached.add((alpha > 0, beta > 0))
+    # so a floor 1 higher fails in each quadrant where the bound is below 0
+    assert {(True, True), (True, False), (False, False)} <= reached
 
 
 def test_streaming_oracle_matches_reference_on_grid():
@@ -161,3 +185,22 @@ def test_oracle_at_trillion_scale(sign_a, sign_b, swap):
     assert report.breakpoints_checked == breakpoint_count(pair.alpha, pair.beta) > 4 * 10**12
     assert 0 <= report.argmin < report.period
     assert commutator(pair, report.argmin) == report.min_value
+
+
+@pytest.mark.parametrize(
+    ("alpha", "beta"),
+    [
+        (Fraction(999, 1000003), Fraction(1001, 1000007)),
+        (Fraction(-999, 1000003), Fraction(-1001, 1000007)),
+        (Fraction(2, 1000000007), Fraction(-3, 1000000009)),
+    ],
+)
+def test_oracle_stops_at_the_floor(alpha, beta):
+    # each period holds 10^9 or more gaps of the sparser progression; the
+    # walk ends at the first one whose value is the floor, -1 for all three
+    pair = DilationPair(alpha, beta)
+    report = oracle_verify(pair)
+    assert report.min_value == commutator_floor(alpha, beta) == -1
+    assert commutator(pair, report.argmin) == -1
+    assert 0 <= report.argmin < report.period
+    assert report.breakpoints_checked == breakpoint_count(alpha, beta)
