@@ -216,8 +216,7 @@ def positive_witness(alpha: Rat | int, beta: Rat | int) -> PositiveLinear | None
 
     Each factor is an int or a Fraction; float and bool raise TypeError.
     """
-    if type(alpha) is not Fraction or type(beta) is not Fraction or alpha.numerator <= 0 or beta.numerator <= 0:
-        alpha, beta = positive_rat(alpha, _POSITIVE), positive_rat(beta, _POSITIVE)
+    alpha, beta = positive_rat(alpha, _POSITIVE), positive_rat(beta, _POSITIVE)
     return _record(_positive(alpha.numerator, alpha.denominator, beta.numerator, beta.denominator))
 
 
@@ -226,8 +225,7 @@ def negative_witness(alpha: Rat | int, beta: Rat | int) -> NegHyperbola | NegVer
 
     Each factor is an int or a Fraction; float and bool raise TypeError.
     """
-    if type(alpha) is not Fraction or type(beta) is not Fraction:
-        alpha, beta = as_rat(alpha), as_rat(beta)
+    alpha, beta = as_rat(alpha), as_rat(beta)
     if alpha.numerator >= 0 or beta.numerator >= 0:
         raise ValueError("dilation factors must be negative")
     return _record(_negative(-alpha.numerator, alpha.denominator, -beta.numerator, beta.denominator))
@@ -292,8 +290,7 @@ def from_sigmatau(coords: SigmaTau) -> DilationPair:
 
 def _quadrant_factors(pair: DilationPair) -> tuple[Rat, Rat]:
     """(alpha, beta) of a DilationPair in the open positive quadrant; TypeError or ValueError otherwise."""
-    if type(pair) is not DilationPair:
-        require_type(pair, DilationPair)
+    require_type(pair, DilationPair)
     return positive_rat(pair.alpha, _QUADRANT), positive_rat(pair.beta, _QUADRANT)
 
 

@@ -10,20 +10,20 @@ Each command builds its payload once and returns the one text asked for
 ``preorder`` a summary line after them; ``main`` is the only writer of
 command output, and prints a summary only once the text is written.
 
-This module imports ``exact`` and the private integer modules ``_decide``,
-``_kernels`` and ``_oracle``, which ``classify``, ``verify`` and ``sweep``
-run: they decide and verify each pair on its four integer parts and format
-the ints without building a record.  ``preorder`` and ``plot`` import the
-private modules ``_preorder`` and ``_plot`` when they run, and work on
-integer parts the same way: the relation's rows, its violation and classes
-as indices into the grid, and the figure as tuples of integer pairs.  So
-none of these five commands loads ``dataclasses`` or a record module
-(``classify``, ``floorfn``, ``preorder``, ``plot``).  The ``*_to_dict``
-functions serialise the records through the same payload builders, and
-``verdict_from_dict`` checks a payload's proof on its integer parts and
-imports the records only to build the ``Verdict``.  ``beatty`` and
-``frobenius`` import the module they use when they run, so a start loads only
-what its command runs.  No command loads ``csv``: ``_csv`` writes CSV by hand.
+This module imports ``exact`` and the private integer modules ``_decide`` and
+``_oracle`` (``_decide`` loads ``_kernels``), which ``classify``, ``verify``
+and ``sweep`` run: they decide and verify each pair on its four integer parts
+and format the ints without building a record.  ``preorder`` and ``plot``
+import the private modules ``_preorder`` and ``_plot`` when they run, and work
+on integer parts the same way: the relation's rows, its violation and classes
+as indices into the grid, and the figure as tuples of integer pairs.  So none
+of these five commands loads ``dataclasses`` or a record module (``classify``,
+``floorfn``, ``preorder``, ``plot``).  The ``*_to_dict`` functions serialise
+the records through the same payload builders, and ``verdict_from_dict``
+checks a payload's proof on its integer parts and imports the records only to
+build the ``Verdict``.  ``beatty`` and ``frobenius`` import the module they
+use when they run, so a start loads only what its command runs.  No command
+loads ``csv``: ``_csv`` writes CSV by hand.
 """
 
 from __future__ import annotations

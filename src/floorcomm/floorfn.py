@@ -100,8 +100,7 @@ def commutator(pair: DilationPair, x: Rat | int) -> int:
     inner floors are (c*N)//(d*M) and (a*N)//(b*M), so four integer floor
     divisions give the value; a float or bool x raises TypeError.
     """
-    if type(pair) is not DilationPair:
-        require_type(pair, DilationPair)
+    require_type(pair, DilationPair)
     alpha, beta, x = pair.alpha, pair.beta, as_rat(x)
     return _commutator(alpha.numerator, alpha.denominator, beta.numerator, beta.denominator, x.numerator, x.denominator)
 

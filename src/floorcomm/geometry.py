@@ -71,8 +71,7 @@ def circle_arc_contains(x: Rat | int, sigma: Rat | int) -> bool:
 
 def torus_point_in_corner(x: Rat | int, y: Rat | int, rect: CornerRect) -> bool:
     """True iff (x, y) mod Z^2 lies in the projected open corner rectangle."""
-    if type(rect) is not SigmaTau:
-        require_type(rect, SigmaTau)
+    require_type(rect, SigmaTau)
     x, y = as_rat(x), as_rat(y)
     return circle_arc_contains(x, rect.sigma) and circle_arc_contains(y, rect.tau)
 

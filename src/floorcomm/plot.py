@@ -102,43 +102,31 @@ def _box(spec: PlotSpec) -> tuple[Rat, Rat, Rat, Rat]:
 
 def build_plot_model(spec: PlotSpec) -> PlotModel:
     """Enumerate every family element of the member set visible in the box."""
-    if type(spec) is not PlotSpec:
-        require_type(spec, PlotSpec)
+    require_type(spec, PlotSpec)
     mixed, curves, segments, sporadics = _model(
         _box(spec), spec.curve_bound, spec.sporadic_r_bound, spec.den_bound, spec.samples
     )
-    # a sample's Fraction is built the first time a curve keeps it and shared
-    # by every curve of its family after that
-    samples: dict[tuple[int, int, int], dict[int, Rat]] = {}
     records = []
     for kind, m, n, grid, points in curves:
-        if grid is None:
-            records.append(Curve(kind, m, n, tuple((Fraction(*a), Fraction(*b)) for a, b in points)))
-            continue
-        start, step, den = grid
-        values = samples.setdefault(grid, {})
-        pairs = []
-        for j, num, d in points:
-            sample = values.get(j)
-            if sample is None:
-                sample = values[j] = Fraction(start + step * j, den)
-            pairs.append((Fraction(num, d), sample) if kind == "pos_hyperbola" else (sample, Fraction(num, d)))
-        records.append(Curve(kind, m, n, tuple(pairs)))
-    # one Fraction per alpha = -q/p, shared by its segment and sporadic points
-    alphas = {alpha: Fraction(*alpha) for alpha in {s[2] for s in segments} | {s[5] for s in sporadics}}
+        if grid is not None:  # a run on the family's sample grid, (j, num, d) per point
+            start, step, den = grid
+            if kind == "pos_hyperbola":
+                points = [((num, d), (start + step * j, den)) for j, num, d in points]
+            else:
+                points = [((start + step * j, den), (num, d)) for j, num, d in points]
+        records.append(Curve(kind, m, n, tuple((Fraction(*a), Fraction(*b)) for a, b in points)))
     return PlotModel(
         spec,
         None if mixed is None else tuple(Fraction(*v) for v in mixed),
         tuple(records),
-        tuple(VerticalSegment(p, q, alphas[alpha], Fraction(*lo), Fraction(*hi)) for p, q, alpha, lo, hi in segments),
-        tuple(SporadicPoint(p, q, m, n, r, alphas[alpha], Fraction(*beta)) for p, q, m, n, r, alpha, beta in sporadics),
+        tuple(VerticalSegment(p, q, Fraction(*a), Fraction(*lo), Fraction(*hi)) for p, q, a, lo, hi in segments),
+        tuple(SporadicPoint(p, q, m, n, r, Fraction(*a), Fraction(*b)) for p, q, m, n, r, a, b in sporadics),
     )
 
 
 def render_svg(model: PlotModel, width: int = 640) -> str:
     """Serialize a plot model as standalone SVG 1.1 text; width is an int >= 1."""
-    if type(model) is not PlotModel:
-        require_type(model, PlotModel)
+    require_type(model, PlotModel)
     # each coordinate as its (numerator, denominator); an int's denominator is 1
     region = None if model.mixed_region is None else tuple(v.as_integer_ratio() for v in model.mixed_region)
     curves = [

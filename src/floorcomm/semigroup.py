@@ -42,10 +42,8 @@ class SemigroupPair:
 
 def sg_contains(sg: SemigroupPair, n: int) -> bool:
     """True iff n = i*a + j*b for some integers i, j >= 0; n must be an int."""
-    if type(sg) is not SemigroupPair:
-        require_type(sg, SemigroupPair)
-    if type(n) is not int:
-        require_int(n, "n")
+    require_type(sg, SemigroupPair)
+    require_int(n, "n")
     if n < 0:
         raise ValueError("membership is defined on nonnegative integers")
     return _least_representation(sg.a, sg.b, n) is not None

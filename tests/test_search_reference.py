@@ -124,6 +124,34 @@ def test_sporadic_exit_comes_before_the_modular_inverse(monkeypatch):
         assert _kernels._sporadic(p, q, c, d) is None
 
 
+def test_sporadic_scans_only_m_that_can_reach_t_min(monkeypatch):
+    # n >= 1 caps t at q*(p - m) - p, so an m past m_top cannot reach t_min:
+    # scanning it changes no answer, only the cost, which is why the bound is
+    # pinned by value here.
+    scanned = []
+
+    def recording_range(*args):
+        scanned.append(range(*args))
+        return scanned[-1]
+
+    monkeypatch.setattr(_kernels, "range", recording_range, raising=False)
+    pairs = 0
+    for p in range(3, 30):
+        for q in range(2, 8):
+            if gcd(p, q) != 1:
+                continue
+            for c in range(1, 4):
+                for d in range(c * p // 2 + 1, c * p):
+                    if gcd(c, d) != 1:
+                        continue
+                    pairs += 1
+                    t_min = -(-2 * q * (p * c - d) // c)
+                    scanned.clear()
+                    _kernels._sporadic(p, q, c, d)
+                    assert all(q * (p - m) - p >= t_min for ms in scanned for m in ms), (p, q, c, d)
+    assert pairs == 3126
+
+
 def test_sporadic_member_at_large_p():
     # the least (m, n) lies at m = 0, so the in-band scan stops at once
     p, q = BIG + 1, 2
