@@ -9,6 +9,10 @@ formats straight from it.  The oracle is an independent check of the
 decision path, so nothing here reaches ``_kernels``;
 ``tests/test_criteria_reference.py`` reads that from the source.
 
+The walk covers one true period, b*d/gcd(|a|, |c|) (the ``floorfn``
+docstring), and reports [0, b*d): the same least value and first argmin, and
+the breakpoint count of the longer period, which repeats the shorter one.
+
 The walk stops early at the commutator's floor, -ceil(max(alpha, 0) +
 max(-beta, 0)), which rests on floor arithmetic alone.  With alpha*x =
 floor(alpha*x) + t and beta*x = floor(beta*x) + s, 0 <= s, t < 1, and
@@ -17,6 +21,8 @@ alpha*floor(beta*x) - beta*floor(alpha*x) - 1 = beta*t - alpha*s - 1 >=
 -max(alpha, 0) - max(-beta, 0) - 1, and it is an integer.  The floor is 0
 at most, and the walk stops only on a new least value, so only after a
 negative one: the sign, and with it the member answer, never depends on it.
+A floor of 0 (alpha < 0 < beta) is the value at x = 0, so such a pair walks
+no gap at all.
 """
 
 from __future__ import annotations
@@ -36,13 +42,16 @@ def _oracle_min(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
     2*|a*c|, and the number of breakpoints in one period.
 
     Breakpoints are scaled by |a*c|, so the progressions are k*step_a and
-    j*step_b in integers, and a period holds step_b alpha points and step_a
-    beta points.  The scan walks at most the step_i = min(step_a, step_b)
-    gaps of the sparser, outer progression: O(1) work per gap, two running
-    sums in place of products, and O(1) extra memory.  It ends at the first
-    gap whose value is the floor of the module docstring, which no value
-    lies below, so the least value, the argmin and the breakpoint count are
-    those of the whole period.
+    j*step_b in integers, and a period b*d holds step_b alpha points and
+    step_a beta points.  Both steps are multiples of h = gcd(|a|, |c|), and
+    the true period b*d/h holds step_i // h gaps of the sparser, outer
+    progression, step_i = min(step_a, step_b).  The scan walks at most those:
+    O(1) work per gap, two running sums in place of products, and O(1) extra
+    memory.  It ends at the first gap whose value is the floor of the module
+    docstring, which no value lies below, and walks nothing when that floor
+    is 0, the value at x = 0.  So the least value and the first argmin are
+    those of [0, b*d), and the breakpoint count is that period's, counted,
+    not walked.
 
     On outer gap j, (j*step_o, (j+1)*step_o), the outer progression's inner
     floor is j for a positive factor and -j-1 for a negative one; on the
@@ -83,7 +92,8 @@ def _oracle_min(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
     floor = ((-a if a > 0 else 0) * d + (c if c < 0 else 0) * b) // (b * d)  # no value lies below it
     best = 0  # x = 0 is the first sample and the commutator vanishes there
     top, num = q, e  # p*j + q and step_o*j + e, as running sums
-    for j in range(step_i):
+    # one true period, step_i // h outer gaps; a floor of 0 is the value at x = 0, so nothing to walk
+    for j in range(step_i // gcd(a, c) if floor < 0 else 0):
         value = top // r - (u * (num // step_i) + w) // v
         if value < best:
             best, best_j = value, j

@@ -46,6 +46,13 @@ the test suite.  This module wraps the tuples in the records below: a
 member's witness record is built from its (kind, params) through one table,
 and ``positive_witness`` and ``negative_witness`` add their guards to the
 same searches.
+
+The records with fields, which ``classify``, ``is_member`` and the
+coordinate maps build once per pair, have a hand-written ``__init__``: it
+runs the checks and conversions, then writes each field into the instance
+dict, which costs about half of the generated ``object.__setattr__`` per
+field.  They stay frozen dataclasses, and ``dataclasses.replace`` runs the
+same checks through that ``__init__``.
 """
 
 from __future__ import annotations
@@ -76,7 +83,7 @@ class MixedNegPos:
     kind: ClassVar[str] = "mixed_neg_pos"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PositiveLinear:
     """m*alpha*beta + n*alpha = beta with m, n >= 0, not both zero."""
 
@@ -84,14 +91,17 @@ class PositiveLinear:
     n: int
     kind: ClassVar[str] = "positive_linear"
 
-    def __post_init__(self) -> None:
-        if not type(self.m) is type(self.n) is int:
-            _require_int_fields(self)
-        if self.m < 0 or self.n < 0 or (self.m == 0 and self.n == 0):
+    def __init__(self, m: int, n: int) -> None:
+        if not type(m) is type(n) is int:
+            _require_ints(m=m, n=n)
+        if m < 0 or n < 0 or (m == 0 and n == 0):
             raise ValueError("need m, n >= 0, not both zero")
+        state = self.__dict__
+        state["m"] = m
+        state["n"] = n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NegHyperbola:
     """m*alpha*beta - n*beta = -alpha with m >= 0, n >= 1."""
 
@@ -99,14 +109,17 @@ class NegHyperbola:
     n: int
     kind: ClassVar[str] = "neg_hyperbola"
 
-    def __post_init__(self) -> None:
-        if not type(self.m) is type(self.n) is int:
-            _require_int_fields(self)
-        if self.m < 0 or self.n < 1:
+    def __init__(self, m: int, n: int) -> None:
+        if not type(m) is type(n) is int:
+            _require_ints(m=m, n=n)
+        if m < 0 or n < 1:
             raise ValueError("need m >= 0 and n >= 1")
+        state = self.__dict__
+        state["m"] = m
+        state["n"] = n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NegVertical:
     """alpha = -q/p in lowest terms with -1/p <= beta < 0."""
 
@@ -114,14 +127,17 @@ class NegVertical:
     q: int
     kind: ClassVar[str] = "neg_vertical"
 
-    def __post_init__(self) -> None:
-        if not type(self.p) is type(self.q) is int:
-            _require_int_fields(self)
-        if self.p < 1 or self.q < 1 or gcd(self.p, self.q) != 1:
+    def __init__(self, p: int, q: int) -> None:
+        if not type(p) is type(q) is int:
+            _require_ints(p=p, q=q)
+        if p < 1 or q < 1 or gcd(p, q) != 1:
             raise ValueError("need coprime p, q >= 1")
+        state = self.__dict__
+        state["p"] = p
+        state["q"] = q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NegSporadic:
     """Isolated rational solution below the vertical segment at alpha = -q/p."""
 
@@ -132,20 +148,26 @@ class NegSporadic:
     r: int
     kind: ClassVar[str] = "neg_sporadic"
 
-    def __post_init__(self) -> None:
-        if not type(self.p) is type(self.q) is type(self.m) is type(self.n) is type(self.r) is int:
-            _require_int_fields(self)
-        if self.p < 1 or self.q < 1 or gcd(self.p, self.q) != 1:
+    def __init__(self, p: int, q: int, m: int, n: int, r: int) -> None:
+        if not type(p) is type(q) is type(m) is type(n) is type(r) is int:
+            _require_ints(p=p, q=q, m=m, n=n, r=r)
+        if p < 1 or q < 1 or gcd(p, q) != 1:
             raise ValueError("need coprime p, q >= 1")
-        if self.m < 0 or self.n < 1 or self.r < 2:
+        if m < 0 or n < 1 or r < 2:
             raise ValueError("need m >= 0, n >= 1, r >= 2")
-        if not 0 < self.m * self.q + self.n * self.p < self.p * self.q:  # m/p + n/q, times p*q
+        if not 0 < m * q + n * p < p * q:  # m/p + n/q, times p*q
             raise ValueError("need 0 < m/p + n/q < 1")
+        state = self.__dict__
+        state["p"] = p
+        state["q"] = q
+        state["m"] = m
+        state["n"] = n
+        state["r"] = r
 
 
-def _require_int_fields(witness: PositiveLinear | NegHyperbola | NegVertical | NegSporadic) -> None:
-    """Refuse a witness field that is not an int (``exact.require_int``): bool and float raise TypeError."""
-    for name, value in vars(witness).items():
+def _require_ints(**fields: int) -> None:
+    """Refuse a witness field that is not an int (``exact.require_int``), in order: bool and float raise TypeError."""
+    for name, value in fields.items():
         require_int(value, name)
 
 
@@ -159,7 +181,7 @@ def _record(witness: tuple[str, tuple[int, ...]] | None) -> Witness | None:
     return None if witness is None else _RECORDS[witness[0]](*witness[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Verdict:
     """Membership verdict with a certificate: a witness, or a violating point."""
 
@@ -168,8 +190,15 @@ class Verdict:
     witness: Witness | None
     counterexample: Rat | None
 
+    def __init__(self, pair: DilationPair, member: bool, witness: Witness | None, counterexample: Rat | None) -> None:
+        state = self.__dict__
+        state["pair"] = pair
+        state["member"] = member
+        state["witness"] = witness
+        state["counterexample"] = counterexample
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class MuNu:
     """First-quadrant coordinates (1/alpha, beta/alpha).
 
@@ -183,14 +212,16 @@ class MuNu:
     mu: Rat
     nu: Rat
 
-    def __post_init__(self) -> None:
-        mu, nu = self.mu, self.nu
+    def __init__(self, mu: Rat | int, nu: Rat | int) -> None:
         if type(mu) is not Fraction or type(nu) is not Fraction or mu.numerator <= 0 or nu.numerator <= 0:
-            object.__setattr__(self, "mu", positive_rat(mu, "mu, nu must be positive"))
-            object.__setattr__(self, "nu", positive_rat(nu, "mu, nu must be positive"))
+            mu = positive_rat(mu, "mu, nu must be positive")
+            nu = positive_rat(nu, "mu, nu must be positive")
+        state = self.__dict__
+        state["mu"] = mu
+        state["nu"] = nu
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SigmaTau:
     """First-quadrant coordinates (alpha, alpha/beta).
 
@@ -204,11 +235,13 @@ class SigmaTau:
     sigma: Rat
     tau: Rat
 
-    def __post_init__(self) -> None:
-        sigma, tau = self.sigma, self.tau
+    def __init__(self, sigma: Rat | int, tau: Rat | int) -> None:
         if type(sigma) is not Fraction or type(tau) is not Fraction or sigma.numerator <= 0 or tau.numerator <= 0:
-            object.__setattr__(self, "sigma", positive_rat(sigma, "sigma, tau must be positive"))
-            object.__setattr__(self, "tau", positive_rat(tau, "sigma, tau must be positive"))
+            sigma = positive_rat(sigma, "sigma, tau must be positive")
+            tau = positive_rat(tau, "sigma, tau must be positive")
+        state = self.__dict__
+        state["sigma"] = sigma
+        state["tau"] = tau
 
 
 def positive_witness(alpha: Rat | int, beta: Rat | int) -> PositiveLinear | None:

@@ -5,17 +5,22 @@ The central object is the commutator
     x  |->  floor(alpha * floor(beta * x)) - floor(beta * floor(alpha * x)).
 
 For nonzero rational alpha = a/b and beta = c/d (lowest terms) it is periodic
-with period T = b*d, because alpha*T, beta*T and alpha*beta*T are all
-integers, and it is constant on every open interval between consecutive
-points of (1/alpha)Z u (1/beta)Z.  The oracle therefore decides the sign of
-the commutator over all of R by evaluating finitely many exact points.
+with period P = b*d/h, h = gcd(|a|, |c|), because alpha*P = a*d/h, beta*P =
+c*b/h and alpha*beta*P = a*c/h are all integers: shifting x by P adds
+alpha*beta*P to both compositions.  It is constant on every open interval
+between consecutive points of (1/alpha)Z u (1/beta)Z.  The oracle therefore
+decides the sign of the commutator over all of R by evaluating finitely many
+exact points.  It reports the period T = b*d, h copies of P, with the least
+value, the first argmin and the breakpoint count of [0, T); the first argmin
+of [0, T) lies in [0, P).
 
-It walks one period along the gaps of the sparser of the two arithmetic
+It walks [0, P) along the gaps of the sparser of the two arithmetic
 progressions k/|alpha| and j/|beta|, storing no points, so it takes at
-most min(|a|*d, |c|*b) steps and O(1) extra memory.  On such a gap that
-progression's inner floor is fixed and the other's runs through consecutive
-integers, so the commutator is monotone across the gap, and one sample at
-its first or its last sub-gap gives the gap's least value.
+most min(|a|*d, |c|*b)/h steps and O(1) extra memory: both progressions'
+point counts over T are multiples of h.  On such a gap that progression's
+inner floor is fixed and the other's runs through consecutive integers, so
+the commutator is monotone across the gap, and one sample at its first or
+its last sub-gap gives the gap's least value.
 
 Breakpoints need no samples of their own.  floor(g*x) is right-continuous for
 g > 0 and left-continuous for g < 0, so a point of one progression only has
@@ -27,6 +32,11 @@ The commutator and the walk run on the factors' integer parts in ``_oracle``,
 which imports no ``dataclasses``: ``commutator`` and ``oracle_verify`` read
 the parts out of their records and wrap the ints in a record again, and the
 CLI formats the same ints without building one.
+
+``DilationPair`` and ``OracleReport`` are built once per pair on the
+benchmarked API path, so each has a hand-written ``__init__`` that writes the
+instance dict directly instead of one ``object.__setattr__`` per field; they
+stay frozen dataclasses, with the generated eq, hash and repr.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from .exact import Rat, as_rat, positive_rat, rat_ceil, rat_floor, require_type
 _POSITIVE = "dilation factors must be positive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DilationPair:
     """An ordered pair of dilation factors; any rationals are legal.
 
@@ -52,22 +62,26 @@ class DilationPair:
     alpha: Rat
     beta: Rat
 
-    def __post_init__(self) -> None:
-        if type(self.alpha) is not Fraction or type(self.beta) is not Fraction:
-            object.__setattr__(self, "alpha", as_rat(self.alpha))
-            object.__setattr__(self, "beta", as_rat(self.beta))
+    def __init__(self, alpha: Rat | int, beta: Rat | int) -> None:
+        if type(alpha) is not Fraction or type(beta) is not Fraction:
+            alpha = as_rat(alpha)
+            beta = as_rat(beta)
+        state = self.__dict__
+        state["alpha"] = alpha
+        state["beta"] = beta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OracleReport:
     """Certified minimum of the commutator over one full period.
 
     ``min_value`` is the exact global minimum over all real x; ``argmin`` is
     the first sample in [0, period) attaining it, in increasing order, where
     each breakpoint comes before the gap after it.  ``breakpoints_checked``
-    counts the breakpoints of one period that the scan covers, whether
-    walked or bounded by the commutator's floor once the walk reaches it,
-    not the steps it takes, and ``samples_checked`` the samples it covers, a
+    counts the breakpoints of [0, period) that the scan covers, not the steps
+    it takes: each is walked, bounded by the commutator's floor once the walk
+    reaches it, or a repeat of one walked in the shorter period
+    period/gcd(|a|, |c|).  ``samples_checked`` counts the samples covered, a
     breakpoint and a gap for each.  By continuity and monotonicity one
     evaluation per gap of the sparser progression settles them all.
     """
@@ -77,6 +91,16 @@ class OracleReport:
     argmin: Rat
     breakpoints_checked: int
     samples_checked: int
+
+    def __init__(
+        self, period: Rat, min_value: int, argmin: Rat, breakpoints_checked: int, samples_checked: int
+    ) -> None:
+        state = self.__dict__
+        state["period"] = period
+        state["min_value"] = min_value
+        state["argmin"] = argmin
+        state["breakpoints_checked"] = breakpoints_checked
+        state["samples_checked"] = samples_checked
 
     @property
     def member(self) -> bool:
@@ -128,9 +152,10 @@ def oracle_verify(pair: DilationPair) -> OracleReport:
     """Exact global minimum of the commutator, by exhaustive period scan.
 
     Covers every breakpoint in [0, T) and every gap between consecutive
-    breakpoints; piecewise constancy makes this a complete cover of R.  The
-    scan is ``_oracle._oracle_min``, one step per gap of the sparser
-    breakpoint progression, run through ``_oracle._report`` (which adds the
+    breakpoints, those past T/gcd(|a|, |c|) by periodicity; piecewise
+    constancy makes this a complete cover of R.  The scan is
+    ``_oracle._oracle_min``, one step per gap of the sparser breakpoint
+    progression, run through ``_oracle._report`` (which adds the
     axis case) on the factors' numerators and denominators, read once; this
     function adds the type guard and the report.  The axis report and a
     member's argmin 0 are shared module constants, so a report builds at most

@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import signed_grid
+from floorcomm import _oracle
 from floorcomm.floorfn import DilationPair, commutator, oracle_verify
 from reference_oracle import reference_oracle_verify, reference_walk_verify
 
@@ -64,6 +65,35 @@ def test_streaming_oracle_matches_reference_on_grid():
             assert report == reference_oracle_verify(pair), (alpha, beta)
             assert report.breakpoints_checked == breakpoint_count(alpha, beta), (alpha, beta)
     assert len(grid) ** 2 == 16129
+
+
+def test_walk_covers_one_true_period_and_skips_a_zero_floor(monkeypatch):
+    # the commutator repeats every b*d/gcd(|a|, |c|), and at alpha < 0 < beta
+    # its floor 0 is the value at x = 0: walking more changes no answer, only
+    # the cost, which is why the walk's length is pinned by value here
+    walked = []
+
+    def recording_range(*args):
+        walked.append(range(*args))
+        return walked[-1]
+
+    monkeypatch.setattr(_oracle, "range", recording_range, raising=False)
+    grid = signed_grid(10, 10)
+    shared = mixed = 0
+    for alpha in grid:
+        for beta in grid:
+            a, b, c, d = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+            walked.clear()
+            oracle_verify(DilationPair(alpha, beta))
+            assert len(walked) == 1, (alpha, beta)
+            h = gcd(a, c)
+            assert len(walked[0]) <= min(b * abs(c), d * abs(a)) // h, (alpha, beta)
+            if a < 0 < c:
+                assert len(walked[0]) == 0, (alpha, beta)
+                mixed += 1
+            shared += h > 1
+    # both guards are exercised: pairs with a shared numerator factor, and -+ pairs
+    assert (len(grid) ** 2, shared, mixed) == (15876, 3892, 3969)
 
 
 signed_rationals = st.builds(
@@ -141,6 +171,36 @@ def bounded_pairs(draw, part: int, points: int) -> tuple[Fraction, Fraction]:
 def test_oracle_matches_walk_at_large_parts(sign_a, sign_b, pair):
     alpha, beta = sign_a * pair[0], sign_b * pair[1]
     assert breakpoint_count(alpha, beta) <= 2 * 10**5
+    pair = DilationPair(alpha, beta)
+    assert oracle_verify(pair) == reference_walk_verify(pair)
+
+
+@st.composite
+def shared_factor_pairs(draw, part: int, points: int) -> tuple[Fraction, Fraction]:
+    """Positive pairs (h*a/b, h*c/d) in lowest terms with 2 <= h <= 97.
+
+    Parts are at most ``part``, and each progression has at most ``points``
+    points in the period b*d.  The oracle walks 1/h of the period b*d, so h is drawn large on purpose:
+    random pairs rarely share a large numerator factor.
+    """
+    h = draw(st.integers(2, 97))
+    a, c = draw(st.integers(1, part // h)), draw(st.integers(1, part // h))
+    b = draw(st.integers(1, min(part, points // (h * c))))  # h*c*b beta points
+    d = draw(st.integers(1, min(part, points // (h * a))))  # h*a*d alpha points
+    while gcd(h * a, b) != 1:  # down to the nearest coprime denominator, 1 at worst
+        b -= 1
+    while gcd(h * c, d) != 1:
+        d -= 1
+    return Fraction(h * a, b), Fraction(h * c, d)
+
+
+@pytest.mark.parametrize(("sign_a", "sign_b"), SIGNS)
+@given(shared_factor_pairs(10**4, 10**5))
+@example((Fraction(97 * 103, 1029), Fraction(97, 10)))  # 99 910 and 99 813 points
+@settings(max_examples=25, deadline=None)
+def test_oracle_matches_walk_at_large_shared_factors(sign_a, sign_b, pair):
+    alpha, beta = sign_a * pair[0], sign_b * pair[1]
+    assert gcd(alpha.numerator, beta.numerator) >= 2
     pair = DilationPair(alpha, beta)
     assert oracle_verify(pair) == reference_walk_verify(pair)
 

@@ -6,15 +6,20 @@ typed as a library dataclass refuses any other type with a TypeError naming
 the class and accepts a subclass instance, and an ``int``, ``Rat`` or
 ``Rat | int`` parameter refuses float and bool.  Every public dataclass is
 declared an input record, whose constructor is probed like a function, or an
-output record, which is not validated.
+output record, which is not validated.  The records that a benchmarked call
+builds per pair write their fields in a hand-written ``__init__``; their
+tests pin which records those are and that each keeps the dataclass contract
+(signature, instance dict, frozen fields, ``replace``, pickle, deepcopy).
 
 The namespace and footprint tests each run in a fresh interpreter, because a
 name resolved or a module imported by an earlier test would hide a fault.
 """
 
+import copy
 import dataclasses
 import inspect
 import json
+import pickle
 import subprocess
 import typing
 from fractions import Fraction
@@ -250,3 +255,57 @@ def test_public_name_keeps_the_type_contract(name):
             for bad in (1.5, True):
                 with pytest.raises(TypeError, match=f"got {type(bad).__name__}$"):
                     value(**valid | {target: bad})
+
+
+# The records that a benchmarked call builds once per pair write their fields
+# in a hand-written __init__; every other record keeps the generated one.  One
+# instance of each, with every field set.
+HAND_WRITTEN_INIT = {
+    "DilationPair": lambda: DilationPair(Fraction(2, 3), -1),
+    "OracleReport": lambda: floorcomm.oracle_verify(DilationPair(Fraction(2, 3), Fraction(1, 2))),
+    "Verdict": lambda: floorcomm.classify(DilationPair(Fraction(2, 3), Fraction(1, 2))),
+    "PositiveLinear": lambda: floorcomm.PositiveLinear(1, 2),
+    "NegHyperbola": lambda: floorcomm.NegHyperbola(0, 1),
+    "NegVertical": lambda: floorcomm.NegVertical(3, 2),
+    "NegSporadic": lambda: floorcomm.NegSporadic(5, 3, 1, 1, 2),
+    "MuNu": lambda: MuNu(Fraction(3, 2), 3),
+    "SigmaTau": lambda: SigmaTau(2, Fraction(4, 3)),
+}
+
+
+def test_only_the_benchmarked_records_write_their_fields_by_hand():
+    hand_written = {
+        name
+        for name in floorcomm.__all__
+        if dataclasses.is_dataclass(value := getattr(floorcomm, name))
+        and value.__init__.__code__.co_filename == inspect.getsourcefile(value)
+    }
+    # LatticeParams and CornerRect are MuNu and SigmaTau under their geometry names
+    assert hand_written == set(HAND_WRITTEN_INIT) | {"LatticeParams", "CornerRect"}
+
+
+@pytest.mark.parametrize("name", HAND_WRITTEN_INIT)
+def test_hand_written_init_keeps_the_dataclass_contract(name):
+    record = HAND_WRITTEN_INIT[name]()
+    cls = type(record)
+    names = [field.name for field in dataclasses.fields(cls)]
+    assert list(inspect.signature(cls).parameters) == names
+    assert list(vars(record)) == names
+    for field in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, getattr(record, field))
+    assert dataclasses.replace(record) == record
+    for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(clone) is cls
+        assert clone == record
+        assert hash(clone) == hash(record)
+
+
+def test_replace_runs_the_checks_of_the_hand_written_init():
+    with pytest.raises(ValueError, match="need m, n >= 0, not both zero"):
+        dataclasses.replace(floorcomm.PositiveLinear(1, 0), m=-1)
+    with pytest.raises(TypeError, match="got float"):
+        dataclasses.replace(DilationPair(1, 2), alpha=0.5)
+    with pytest.raises(ValueError, match="sigma, tau must be positive"):
+        dataclasses.replace(SigmaTau(1, 2), tau=0)
+    assert dataclasses.replace(MuNu(1, 2), nu=3) == MuNu(Fraction(1), Fraction(3))
