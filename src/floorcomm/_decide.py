@@ -4,9 +4,9 @@ alpha = a/b and beta = c/d are in lowest terms, the sign on the numerator.
 A member's witness is a tuple (kind, params): the kind is the ``kind`` of its
 ``classify`` record and params are that record's fields, in the order of
 ``WITNESS_FIELDS``.  A non-member's violating point x = N/M is the tuple
-(N, M).  ``classify``, ``is_member``, ``positive_witness`` and
-``negative_witness`` wrap these tuples in records; the CLI formats them as
-they are.
+(N, M).  ``classify``, ``positive_witness`` and ``negative_witness`` wrap
+these tuples in records, ``is_member`` only tests a witness for None, and the
+CLI formats them as they are.
 
     _witness         the sign dispatch: the member families' witness, or None
     _positive        the positive line, one modular inverse

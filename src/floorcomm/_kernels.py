@@ -3,7 +3,7 @@
     _least_representation   the solver of i*x + j*y = n behind semigroup
                             membership, the positive line and hyperbola,
                             and the Beatty witness
-    _sporadic               the sporadic congruence scan of ``negative_witness``
+    _sporadic               the sporadic congruence scan of ``_decide._negative``
     _least_k                the residue scan of the non-member certificate
                             and of ``integer_rounding_check``
 

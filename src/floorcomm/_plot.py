@@ -307,16 +307,12 @@ def _render(
             f' stroke="#d62728" stroke-width="1.6" fill="none"/>'
         )
 
-    # the points of one alpha are consecutive, so its texts are printed once
-    last_alpha = None
     for p, q, m, n, r, alpha, beta in sporadics:
-        if alpha != last_alpha:
-            last_alpha, alpha_text, x = alpha, _rat_text(*alpha), sx(*alpha)
         groups["sporadic-points"].append(
             f'<circle class="sporadic" data-p="{p}" data-q="{q}" data-m="{m}"'
-            f' data-n="{n}" data-r="{r}" data-alpha="{alpha_text}"'
+            f' data-n="{n}" data-r="{r}" data-alpha="{_rat_text(*alpha)}"'
             f' data-beta="{_rat_text(*beta)}"'
-            f' cx="{x}" cy="{sy(*beta)}" r="3" fill="#d62728"/>'
+            f' cx="{sx(*alpha)}" cy="{sy(*beta)}" r="3" fill="#d62728"/>'
         )
 
     lines = [

@@ -47,12 +47,20 @@ member's witness record is built from its (kind, params) through one table,
 and ``positive_witness`` and ``negative_witness`` add their guards to the
 same searches.
 
-The records with fields, which ``classify``, ``is_member`` and the
-coordinate maps build once per pair, have a hand-written ``__init__``: it
-runs the checks and conversions, then writes each field into the instance
-dict, which costs about half of the generated ``object.__setattr__`` per
-field.  They stay frozen dataclasses, and ``dataclasses.replace`` runs the
-same checks through that ``__init__``.
+Five records have a hand-written ``__init__``, because a benchmark workload
+builds each once per op: ``floorfn``'s ``DilationPair`` and ``OracleReport``
+(``grid``), and ``Verdict`` (``grid`` and ``bits``), ``MuNu`` and
+``SigmaTau`` (``criteria``) here.  So do ``PositiveLinear`` and
+``NegHyperbola``: ``bits`` builds one of them on 8 of its 20 ops, each of a
+few microseconds, and the generated ``__init__`` with a ``__post_init__``
+check costs about 0.5 us more per record, which moved that workload's
+latencies past the benchmark's bound.  Each runs the checks and conversions, then writes each field
+into the instance dict, which costs about half of the generated
+``object.__setattr__`` per field.  They stay frozen dataclasses, and
+``dataclasses.replace`` runs the same checks through that ``__init__``.
+``NegVertical`` and ``NegSporadic``, which only ``grid`` builds, on 238 of its
+16 570 ops, keep the generated ``__init__`` and check their fields in
+``__post_init__``.
 """
 
 from __future__ import annotations
@@ -119,7 +127,7 @@ class NegHyperbola:
         state["n"] = n
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class NegVertical:
     """alpha = -q/p in lowest terms with -1/p <= beta < 0."""
 
@@ -127,17 +135,13 @@ class NegVertical:
     q: int
     kind: ClassVar[str] = "neg_vertical"
 
-    def __init__(self, p: int, q: int) -> None:
-        if not type(p) is type(q) is int:
-            _require_ints(p=p, q=q)
-        if p < 1 or q < 1 or gcd(p, q) != 1:
+    def __post_init__(self) -> None:
+        _require_ints(**vars(self))
+        if self.p < 1 or self.q < 1 or gcd(self.p, self.q) != 1:
             raise ValueError("need coprime p, q >= 1")
-        state = self.__dict__
-        state["p"] = p
-        state["q"] = q
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class NegSporadic:
     """Isolated rational solution below the vertical segment at alpha = -q/p."""
 
@@ -148,21 +152,14 @@ class NegSporadic:
     r: int
     kind: ClassVar[str] = "neg_sporadic"
 
-    def __init__(self, p: int, q: int, m: int, n: int, r: int) -> None:
-        if not type(p) is type(q) is type(m) is type(n) is type(r) is int:
-            _require_ints(p=p, q=q, m=m, n=n, r=r)
-        if p < 1 or q < 1 or gcd(p, q) != 1:
+    def __post_init__(self) -> None:
+        _require_ints(**vars(self))
+        if self.p < 1 or self.q < 1 or gcd(self.p, self.q) != 1:
             raise ValueError("need coprime p, q >= 1")
-        if m < 0 or n < 1 or r < 2:
+        if self.m < 0 or self.n < 1 or self.r < 2:
             raise ValueError("need m >= 0, n >= 1, r >= 2")
-        if not 0 < m * q + n * p < p * q:  # m/p + n/q, times p*q
+        if not 0 < self.m * self.q + self.n * self.p < self.p * self.q:  # m/p + n/q, times p*q
             raise ValueError("need 0 < m/p + n/q < 1")
-        state = self.__dict__
-        state["p"] = p
-        state["q"] = q
-        state["m"] = m
-        state["n"] = n
-        state["r"] = r
 
 
 def _require_ints(**fields: int) -> None:
@@ -288,8 +285,8 @@ def classify(pair: DilationPair) -> Verdict:
     alpha, beta = pair.alpha, pair.beta
     a, b, c, d = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
     witness = _witness(a, b, c, d)
-    if witness is not None:  # _record inlined: one call less per member
-        return Verdict(pair, True, _RECORDS[witness[0]](*witness[1]), None)
+    if witness is not None:
+        return Verdict(pair, True, _record(witness), None)
     return Verdict(pair, False, None, Fraction(*_counterexample(a, b, c, d)))
 
 

@@ -60,12 +60,9 @@ def require_int(x: int, name: str) -> None:
 def require_type(x: object, cls: type) -> None:
     """Refuse an x that is not a cls or a subclass: TypeError naming cls.
 
-    The entry points that a benchmark workload calls once per pair
-    (``classify``, ``is_member``, ``oracle_verify``, ``from_munu``,
-    ``from_sigmatau``, ``lattice_diag_disjoint``, ``torus_subgroup_avoids``
-    and ``frobenius_number``) test ``type(x) is not cls`` first, which spares
-    an exact instance this call; calling it unguarded there measured slower
-    on the ``bits`` workload.  Every other caller calls it directly.
+    The entry points that a benchmark workload calls once per op test
+    ``type(x) is not cls`` first, which spares an exact instance this call;
+    README "Shortcuts" names them.  Every other caller calls it directly.
     """
     if not isinstance(x, cls):
         raise TypeError(f"expected a {cls.__name__}, got {type(x).__name__}")
@@ -73,15 +70,13 @@ def require_type(x: object, cls: type) -> None:
 
 def rat_floor(x: Rat | int) -> int:
     """Greatest integer <= x; float and bool raise TypeError."""
-    if type(x) is not Fraction:
-        x = as_rat(x)
+    x = as_rat(x)
     return x.numerator // x.denominator
 
 
 def rat_ceil(x: Rat | int) -> int:
     """Least integer >= x; equals -rat_floor(-x); float and bool raise TypeError."""
-    if type(x) is not Fraction:
-        x = as_rat(x)
+    x = as_rat(x)
     return -((-x.numerator) // x.denominator)
 
 
@@ -99,9 +94,7 @@ def parse_rat(text: str) -> Rat:
 
 def format_rat(x: Rat | int) -> str:
     """Render in lowest terms: ``p`` for integers, ``p/q`` otherwise; float and bool raise TypeError."""
-    if type(x) is not Fraction:
-        x = as_rat(x)
-    return str(x)
+    return str(as_rat(x))
 
 
 def _rat_text(num: int, den: int) -> str:

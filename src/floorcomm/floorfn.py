@@ -33,10 +33,11 @@ which imports no ``dataclasses``: ``commutator`` and ``oracle_verify`` read
 the parts out of their records and wrap the ints in a record again, and the
 CLI formats the same ints without building one.
 
-``DilationPair`` and ``OracleReport`` are built once per pair on the
-benchmarked API path, so each has a hand-written ``__init__`` that writes the
-instance dict directly instead of one ``object.__setattr__`` per field; they
-stay frozen dataclasses, with the generated eq, hash and repr.
+A benchmark workload builds ``DilationPair`` once per op (``grid``, ``bits``
+and ``criteria``) and ``OracleReport`` once per ``grid`` op, so each has a
+hand-written ``__init__`` that writes the instance dict directly instead of
+one ``object.__setattr__`` per field; they stay frozen dataclasses, with the
+generated eq, hash and repr.
 """
 
 from __future__ import annotations

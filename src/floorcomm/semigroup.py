@@ -51,8 +51,7 @@ def sg_contains(sg: SemigroupPair, n: int) -> bool:
 
 def frobenius_number(sg: SemigroupPair) -> int:
     """Largest integer not in the semigroup: a*b - a - b for coprime a, b >= 2."""
-    if type(sg) is not SemigroupPair:
-        require_type(sg, SemigroupPair)
+    require_type(sg, SemigroupPair)
     if sg.a == 1 or sg.b == 1:
         raise ValueError("semigroup is all of N; no gaps exist")
     return sg.a * sg.b - sg.a - sg.b

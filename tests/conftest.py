@@ -1,4 +1,4 @@
-"""Shared grid builders and the child-process launcher of the test suite."""
+"""Shared grid builders, the child-process launcher and the Hypothesis profile of the test suite."""
 
 import os
 import subprocess
@@ -6,7 +6,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from hypothesis import settings
+
 import floorcomm
+
+# One profile for the whole suite, loaded before any test module: an
+# example's time depends on the host's load, so no example has a deadline.
+settings.register_profile("floorcomm", deadline=None)
+settings.load_profile("floorcomm")
 
 # `python -m floorcomm` or `python -c` run from here imports the package under
 # test, with or without PYTHONPATH set

@@ -1,6 +1,8 @@
 """Non-member certificates: the least violating breakpoint, found without the oracle."""
 
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 from hypothesis import given, settings
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import signed_grid
 from floorcomm import _decide
-from floorcomm._decide import _certificate, _witness
+from floorcomm._decide import _certificate, _counterexample, _witness
+from floorcomm._oracle import _commutator, _report
 from floorcomm.classify import classify
 from floorcomm.floorfn import DilationPair, oracle_verify
 from reference_search import fraction_commutator, reference_least_violation
@@ -40,6 +43,29 @@ def test_certificate_is_the_least_violating_breakpoint_on_grid():
             assert fraction_commutator(alpha, beta, x) < 0, (alpha, beta)
             non_members += 1
     assert non_members == 10155
+
+
+def test_box_of_parts_up_to_20_decides_as_the_oracle():
+    # every ordered pair of lowest-terms nonzero values with |num|, den <= 20:
+    # a family point that a search skips shows up only where it lies, so the
+    # box is exhaustive where a sample is not
+    values = [(sign * p, q) for p in range(1, 21) for q in range(1, 21) if gcd(p, q) == 1 for sign in (1, -1)]
+    kinds = Counter()
+    for a, b in values:
+        for c, d in values:
+            witness = _witness(a, b, c, d)
+            assert (witness is not None) == (_report(a, b, c, d)[1] >= 0), (a, b, c, d)
+            if witness is None:
+                assert _commutator(a, b, c, d, *_counterexample(a, b, c, d)) < 0, (a, b, c, d)
+            kinds[None if witness is None else witness[0]] += 1
+    assert kinds == {
+        "positive_linear": 7107,
+        "neg_hyperbola": 4745,
+        "neg_vertical": 2760,
+        "neg_sporadic": 187,
+        "mixed_neg_pos": 65025,
+        None: 180276,
+    }
 
 
 def test_members_have_no_certificate():
@@ -77,7 +103,7 @@ def signed_pairs(draw, bound: int):
 
 
 @given(signed_pairs(10**4))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_certificate_violates_at_large_sizes(pair):
     alpha, beta = pair
     verdict = classify(DilationPair(alpha, beta))
@@ -102,7 +128,7 @@ def scan_steps(alpha: Fraction, beta: Fraction) -> int | None:
 
 
 @given(signed_pairs(40))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_scan_takes_no_more_steps_than_the_oracle(pair):
     alpha, beta = pair
     steps = scan_steps(alpha, beta)

@@ -158,7 +158,7 @@ def large_pairs(draw):
 
 
 @given(large_pairs())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_verdict_round_trip_at_large_parts(pair):
     alpha, beta, member = pair
     verdict = classify(DilationPair(alpha, beta))

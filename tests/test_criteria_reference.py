@@ -55,7 +55,7 @@ def test_criteria_match_reference_loops_on_grid():
             assert_criteria_match_reference(x, y)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(criteria_params, criteria_params)
 def test_criteria_match_reference_loops(x, y):
     assert_criteria_match_reference(x, y)

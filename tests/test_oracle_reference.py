@@ -102,7 +102,7 @@ signed_rationals = st.builds(
 
 
 @given(signed_rationals, signed_rationals)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_streaming_oracle_matches_reference(alpha, beta):
     assume(breakpoint_count(alpha, beta) <= 60_000)
     pair = DilationPair(alpha, beta)
@@ -145,7 +145,7 @@ positive_rationals = st.builds(Fraction, st.integers(1, 300), st.integers(1, 300
 
 
 @given(positive_rationals, positive_rationals, st.booleans())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_streaming_oracle_matches_reference_with_one_negative_factor(alpha, beta, negate_alpha):
     if negate_alpha:
         alpha = -alpha
@@ -167,7 +167,7 @@ def bounded_pairs(draw, part: int, points: int) -> tuple[Fraction, Fraction]:
 
 @pytest.mark.parametrize(("sign_a", "sign_b"), SIGNS)
 @given(bounded_pairs(10**4, 10**5))
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 def test_oracle_matches_walk_at_large_parts(sign_a, sign_b, pair):
     alpha, beta = sign_a * pair[0], sign_b * pair[1]
     assert breakpoint_count(alpha, beta) <= 2 * 10**5
@@ -197,7 +197,7 @@ def shared_factor_pairs(draw, part: int, points: int) -> tuple[Fraction, Fractio
 @pytest.mark.parametrize(("sign_a", "sign_b"), SIGNS)
 @given(shared_factor_pairs(10**4, 10**5))
 @example((Fraction(97 * 103, 1029), Fraction(97, 10)))  # 99 910 and 99 813 points
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_oracle_matches_walk_at_large_shared_factors(sign_a, sign_b, pair):
     alpha, beta = sign_a * pair[0], sign_b * pair[1]
     assert gcd(alpha.numerator, beta.numerator) >= 2
@@ -215,7 +215,7 @@ def test_oracle_matches_walk_at_large_shared_factors(sign_a, sign_b, pair):
 )
 @example(sparse=4, dense=10**6, sparse_num=1, dense_num=999, sparse_alpha=False)
 @example(sparse=3, dense=10**6, sparse_num=3, dense_num=1000, sparse_alpha=True)
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=6)
 def test_oracle_matches_walk_when_one_progression_is_sparse(
     sign_a, sign_b, sparse, dense, sparse_num, dense_num, sparse_alpha
 ):

@@ -6,10 +6,12 @@ typed as a library dataclass refuses any other type with a TypeError naming
 the class and accepts a subclass instance, and an ``int``, ``Rat`` or
 ``Rat | int`` parameter refuses float and bool.  Every public dataclass is
 declared an input record, whose constructor is probed like a function, or an
-output record, which is not validated.  The records that a benchmarked call
-builds per pair write their fields in a hand-written ``__init__``; their
-tests pin which records those are and that each keeps the dataclass contract
-(signature, instance dict, frozen fields, ``replace``, pickle, deepcopy).
+output record, which is not validated.  The records that a workload builds
+on a large share of its ops write their fields in a hand-written
+``__init__``; the tests pin which records those are, and that every record
+with fields keeps the dataclass contract (signature, instance dict, frozen
+fields, ``replace`` running the checks, pickle, deepcopy), whichever
+``__init__`` it has.
 
 The namespace and footprint tests each run in a fresh interpreter, because a
 name resolved or a module imported by an earlier test would hide a fault.
@@ -257,10 +259,8 @@ def test_public_name_keeps_the_type_contract(name):
                     value(**valid | {target: bad})
 
 
-# The records that a benchmarked call builds once per pair write their fields
-# in a hand-written __init__; every other record keeps the generated one.  One
-# instance of each, with every field set.
-HAND_WRITTEN_INIT = {
+# One instance of each public record with fields, with every field set.
+RECORDS_WITH_FIELDS = {
     "DilationPair": lambda: DilationPair(Fraction(2, 3), -1),
     "OracleReport": lambda: floorcomm.oracle_verify(DilationPair(Fraction(2, 3), Fraction(1, 2))),
     "Verdict": lambda: floorcomm.classify(DilationPair(Fraction(2, 3), Fraction(1, 2))),
@@ -270,7 +270,27 @@ HAND_WRITTEN_INIT = {
     "NegSporadic": lambda: floorcomm.NegSporadic(5, 3, 1, 1, 2),
     "MuNu": lambda: MuNu(Fraction(3, 2), 3),
     "SigmaTau": lambda: SigmaTau(2, Fraction(4, 3)),
+    "LatticeParams": lambda: floorcomm.LatticeParams(Fraction(3, 2), 3),
+    "CornerRect": lambda: floorcomm.CornerRect(2, Fraction(4, 3)),
+    "SemigroupPair": lambda: SemigroupPair(3, 5),
+    "PlotSpec": lambda: PlotSpec(-1, 1, -1, 1),
+    "PlotModel": lambda: build_plot_model(PlotSpec(-1, 1, -1, 1)),
+    "Preorder": lambda: floorcomm.Preorder.on([Fraction(1, 2), 1, -2]),
 }
+
+# The records that a workload builds on a large share of its ops write their
+# fields in a hand-written __init__ (README, "Shortcuts"); every other record
+# keeps the generated one.
+HAND_WRITTEN_INIT = {"DilationPair", "OracleReport", "Verdict", "MuNu", "SigmaTau", "PositiveLinear", "NegHyperbola"}
+
+
+def test_every_public_record_with_fields_has_an_instance():
+    records = {
+        name
+        for name in floorcomm.__all__
+        if dataclasses.is_dataclass(value := getattr(floorcomm, name)) and dataclasses.fields(value)
+    }
+    assert records == set(RECORDS_WITH_FIELDS)
 
 
 def test_only_the_benchmarked_records_write_their_fields_by_hand():
@@ -281,12 +301,14 @@ def test_only_the_benchmarked_records_write_their_fields_by_hand():
         and value.__init__.__code__.co_filename == inspect.getsourcefile(value)
     }
     # LatticeParams and CornerRect are MuNu and SigmaTau under their geometry names
-    assert hand_written == set(HAND_WRITTEN_INIT) | {"LatticeParams", "CornerRect"}
+    assert hand_written == HAND_WRITTEN_INIT | {"LatticeParams", "CornerRect"}
 
 
-@pytest.mark.parametrize("name", HAND_WRITTEN_INIT)
+@pytest.mark.parametrize("name", RECORDS_WITH_FIELDS)
 def test_hand_written_init_keeps_the_dataclass_contract(name):
-    record = HAND_WRITTEN_INIT[name]()
+    # run on every record with fields, generated __init__ or not, so that
+    # each keeps the contract by value whichever __init__ it has
+    record = RECORDS_WITH_FIELDS[name]()
     cls = type(record)
     names = [field.name for field in dataclasses.fields(cls)]
     assert list(inspect.signature(cls).parameters) == names
@@ -295,6 +317,10 @@ def test_hand_written_init_keeps_the_dataclass_contract(name):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, field, getattr(record, field))
     assert dataclasses.replace(record) == record
+    if name in INPUT_RECORDS:
+        for field in names:
+            with pytest.raises(TypeError, match="got float"):
+                dataclasses.replace(record, **{field: 1.5})
     for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
         assert type(clone) is cls
         assert clone == record

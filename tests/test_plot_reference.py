@@ -68,7 +68,7 @@ def test_zero_pixel_coordinates_are_plotted():
 bounds = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     alpha=st.lists(bounds, min_size=2, max_size=2, unique=True).map(sorted),
     beta=st.lists(bounds, min_size=2, max_size=2, unique=True).map(sorted),
