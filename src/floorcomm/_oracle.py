@@ -1,11 +1,14 @@
 """The commutator and the oracle's period walk on integer parts, importing nothing from the package.
 
     _commutator     the commutator at one point, four integer floor divisions
-    _oracle_min     the walk over one period: least value, argmin, breakpoints
-    _report         the walk with the axis case: an ``OracleReport`` in ints
+    _oracle_min     the walk over one period: least value, the argmin's
+                    sub-gap, breakpoints
+    _report         the walk with the axis case and the argmin located in
+                    its sub-gap: an ``OracleReport`` in ints
 
 ``floorfn.oracle_verify`` wraps ``_report`` in its record, and the CLI
-formats straight from it.  The oracle is an independent check of the
+formats straight from it; ``sweep``, which prints only the least value,
+calls ``_oracle_min`` alone.  The oracle is an independent check of the
 decision path, so nothing here reaches ``_kernels``;
 ``tests/test_criteria_reference.py`` reads that from the source.
 
@@ -38,8 +41,10 @@ def _commutator(a: int, b: int, c: int, d: int, n: int, m: int) -> int:
 def _oracle_min(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
     """The oracle's walk for alpha = a/b and beta = c/d in lowest terms, a and c nonzero.
 
-    Returns the commutator's least value, the argmin's numerator over
-    2*|a*c|, and the number of breakpoints in one period.
+    Returns the commutator's least value, lo, and the number of breakpoints
+    in one period.  lo, scaled by |a*c|, is the left end of the first
+    sub-gap that reaches the least value, and 0 for a member; ``_report``
+    locates the argmin from it.
 
     Breakpoints are scaled by |a*c|, so the progressions are k*step_a and
     j*step_b in integers, and a period b*d holds step_b alpha points and
@@ -69,10 +74,7 @@ def _oracle_min(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
     The argmin is the first sample that reaches the minimum in increasing
     order, a breakpoint before the gap after it.  It lies in the first outer
     gap that reaches the minimum, on the first sub-gap that does, which one
-    ceiling division finds.  That sub-gap (lo, hi) is reported as its left
-    end 2*lo when every factor whose progression passes through lo is
-    positive, since that point has the gap's value, and as its midpoint
-    lo + hi otherwise.
+    ceiling division finds: lo is that sub-gap's left end.
     """
     step_a = b * abs(c)  # |1/alpha|, scaled; the number of beta points in [0, T)
     step_b = d * abs(a)  # |1/beta|, scaled; the number of alpha points in [0, T)
@@ -101,17 +103,13 @@ def _oracle_min(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
                 break
         top += p
         num += step_o
-    best_num = 0
+    lo = 0
     if best < 0:
         lo = best_j * step_o
         if u > 0:  # the first k whose second term reaches the last sub-gap's
             reach = (p * best_j + q) // r - best
             lo = max(lo, -((w - reach * v) // u) * step_i)
-        off_a, off_b = lo % step_a, lo % step_b
-        hi = lo + min(step_a - off_a, step_b - off_b)
-        at_point = not (neg_a and off_a == 0 or neg_b and off_b == 0)
-        best_num = 2 * lo if at_point else lo + hi
-    return best, best_num, step_a + step_b - gcd(step_a, step_b)
+    return best, lo, step_a + step_b - gcd(step_a, step_b)
 
 
 def _report(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int, int]:
@@ -120,8 +118,21 @@ def _report(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int, int]:
     The argmin is N/M, not in lowest terms, and N is 0 for a member.  On an
     axis, a = 0 or c = 0, both compositions vanish identically and nothing
     is walked: period 1, least value 0 at 0, no breakpoints.
+
+    A non-member's argmin lies on the sub-gap (lo, hi) that starts at the
+    walk's lo and ends at the next point of either progression.  It is the
+    left end 2*lo over 2*|a*c| when every factor whose progression passes
+    through lo is positive, since that point has the gap's value, and the
+    midpoint lo + hi otherwise.
     """
     if a == 0 or c == 0:
         return 1, 0, 0, 1, 0
-    best, best_num, breakpoints = _oracle_min(a, b, c, d)
-    return b * d, best, best_num, 2 * abs(a * c), breakpoints  # samples live over 2*|a*c|
+    best, lo, breakpoints = _oracle_min(a, b, c, d)
+    num = 0
+    if best < 0:
+        step_a, step_b = b * abs(c), d * abs(a)
+        off_a, off_b = lo % step_a, lo % step_b
+        hi = lo + min(step_a - off_a, step_b - off_b)
+        at_point = not (a < 0 and off_a == 0 or c < 0 and off_b == 0)
+        num = 2 * lo if at_point else lo + hi
+    return b * d, best, num, 2 * abs(a * c), breakpoints  # samples live over 2*|a*c|

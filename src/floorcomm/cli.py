@@ -13,7 +13,10 @@ command output, and prints a summary only once the text is written.
 This module imports ``exact`` and the private integer modules ``_decide`` and
 ``_oracle`` (``_decide`` loads ``_kernels``), which ``classify``, ``verify``
 and ``sweep`` run: they decide and verify each pair on its four integer parts
-and format the ints without building a record.  ``preorder`` and ``plot``
+and format the ints without building a record.  ``sweep`` prints only the
+oracle's least value, so it runs the walk ``_oracle_min`` and not
+``_report``, which also locates the argmin, and it writes each row through
+one fixed template, CSV or JSON.  ``preorder`` and ``plot``
 import the private modules ``_preorder`` and ``_plot`` when they run, and work
 on integer parts the same way: the relation's rows, its violation and classes
 as indices into the grid, and the figure as tuples of integer pairs.  So none
@@ -23,13 +26,14 @@ the records through the same payload builders, and ``verdict_from_dict``
 checks a payload's proof on its integer parts and imports the records only to
 build the ``Verdict``.  ``beatty`` and ``frobenius`` import the module they
 use when they run, so a start loads only what its command runs.  No command
-loads ``csv``: ``_csv`` writes CSV by hand.
+loads ``csv``: ``_csv`` writes the CSV of ``preorder`` by hand.  ``json``
+loads only when ``_json`` encodes a payload; the JSON of ``sweep`` and
+``frobenius``, the two large shapes, is laid out by hand with the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -37,7 +41,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ._decide import WITNESS_FIELDS, _counterexample, _witness
-from ._oracle import _commutator, _report
+from ._oracle import _commutator, _oracle_min, _report
 from .exact import Rat, _rat_text, format_rat, parse_rat, require_int
 
 if TYPE_CHECKING:
@@ -135,11 +139,13 @@ def _witness_params(kind: str, params: Iterable[int]) -> list[str]:
 
 
 def _json(payload: Any) -> str:
+    import json  # here, so that a command loads it only when it encodes through _json
+
     return json.dumps(payload, indent=2) + "\n"
 
 
 def _csv(rows: Iterable[Sequence[Any]]) -> str:
-    """Rows, the header first, as CSV text, converted a column at a time for speed.
+    """Rows, the header first, as CSV text, converted a column at a time for speed: ``preorder``'s matrix.
 
     A column holds one type: text, written as it is (``p/q``, an identifier or
     ``k=v;...``, none needing quotes), int, or bool, written ``true``/``false``
@@ -228,6 +234,46 @@ def sweep_values(num_bound: int, den_bound: int) -> list[Rat]:
 
 SWEEP_COLUMNS = ("alpha", "beta", "member", "witness_kind", "witness_params", "oracle_min", "agree")
 
+_SweepRow = tuple[str, str, bool, str, str, int, bool]  # the cells of SWEEP_COLUMNS
+
+# the sweep's witness_params cell: one template per kind, "m={};n={}" and the like, filled in tuple order
+_PARAMS_TEXT = {kind: ";".join(f"{key}={{}}" for key in keys).format for kind, keys in WITNESS_FIELDS.items()}
+
+
+def _sweep_csv(rows: Sequence[_SweepRow]) -> str:
+    """The sweep's rows under its header as CSV, one f-string per row.
+
+    Every cell is ``p/q`` text, an identifier, ``k=v;...`` or an int, none
+    needing quotes, or a bool, written ``true``/``false``.
+    """
+    return "".join([
+        ",".join(SWEEP_COLUMNS) + "\n",
+        *[
+            f"{alpha},{beta},{'true' if member else 'false'},{kind},{params},{least},{'true' if agree else 'false'}\n"
+            for alpha, beta, member, kind, params, least, agree in rows
+        ],
+    ])
+
+
+def _sweep_json(rows: Sequence[_SweepRow], members: int, disagreements: int) -> str:
+    """``_json`` of the sweep's payload, laid out by hand with one f-string per row.
+
+    The text cells need no escaping (see ``_sweep_csv``), so these are the
+    bytes of ``json.dumps(indent=2)`` without its pure-Python encoder.
+    """
+    body = ",\n".join([
+        f'    {{\n      "alpha": "{alpha}",\n      "beta": "{beta}",\n'
+        f'      "member": {"true" if member else "false"},\n      "witness_kind": "{kind}",\n'
+        f'      "witness_params": "{params}",\n      "oracle_min": {least},\n'
+        f'      "agree": {"true" if agree else "false"}\n    }}'
+        for alpha, beta, member, kind, params, least, agree in rows
+    ])
+    listed = f"[\n{body}\n  ]" if rows else "[]"
+    return (
+        f'{{\n  "rows": {listed},\n  "summary": {{\n    "pairs": {len(rows)},\n'
+        f'    "members": {members},\n    "disagreements": {disagreements}\n  }}\n}}\n'
+    )
+
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[str, int, str]:
     # each value's integer parts and text, read and formatted once
@@ -243,20 +289,16 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int, str]:
         for c, d, beta_text in values:
             if not in_quadrant(a, c):
                 continue
-            # no counterexample column: the sweep needs the witness and the oracle's least value
+            # the sweep prints the witness and the walk's least value, which is 0 on an axis
             witness = _witness(a, b, c, d)
             member = witness is not None
-            oracle_min = _report(a, b, c, d)[1]
-            agree = member == (oracle_min >= 0)
+            least = _oracle_min(a, b, c, d)[0] if a and c else 0
+            agree = member == (least >= 0)
             members += member
             disagreements += not agree
-            kind, params = ("", "") if witness is None else (witness[0], ";".join(_witness_params(*witness)))
-            rows.append((alpha_text, beta_text, member, kind, params, oracle_min, agree))
-    if args.fmt == "json":
-        summary = {"pairs": len(rows), "members": members, "disagreements": disagreements}
-        text = _json({"rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows], "summary": summary})
-    else:
-        text = _csv([SWEEP_COLUMNS, *rows])
+            kind, params = ("", "") if witness is None else (witness[0], _PARAMS_TEXT[witness[0]](*witness[1]))
+            rows.append((alpha_text, beta_text, member, kind, params, least, agree))
+    text = _sweep_json(rows, members, disagreements) if args.fmt == "json" else _sweep_csv(rows)
     code = 0 if disagreements == 0 else 1
     return text, code, f"sweep: {len(rows)} pairs, {members} members, {disagreements} disagreements"
 
@@ -297,6 +339,23 @@ def cmd_beatty(args: argparse.Namespace) -> tuple[str, int]:
     return text, 0 if disjoint else 1
 
 
+def _frobenius_json(payload: dict[str, Any]) -> str:
+    """``_json`` of the ``frobenius`` payload, laid out by hand.
+
+    The gap list is its own ``str``, written in C, with each ", " broken onto
+    a new line: the bytes of ``json.dumps(indent=2)``, without a string per
+    gap held at once.
+    """
+    gaps = payload["nonrealizing_set"]
+    listed = "[\n    " + str(gaps)[1:-1].replace(", ", ",\n    ") + "\n  ]" if gaps else "[]"
+    return (
+        f'{{\n  "a": {payload["a"]},\n  "b": {payload["b"]},\n'
+        f'  "frobenius_number": {payload["frobenius_number"]},\n  "nonrealizing_set": {listed},\n'
+        f'  "gap_count": {payload["gap_count"]},\n'
+        f'  "sylvester_duality": {"true" if payload["sylvester_duality"] else "false"}\n}}\n'
+    )
+
+
 def cmd_frobenius(args: argparse.Namespace) -> tuple[str, int]:
     from .semigroup import SemigroupPair, frobenius_number, nonrealizing_set, sylvester_duality_holds
 
@@ -310,7 +369,7 @@ def cmd_frobenius(args: argparse.Namespace) -> tuple[str, int]:
         "gap_count": len(gaps),
         "sylvester_duality": sylvester_duality_holds(sg),
     }
-    text = _json(payload) if args.fmt == "json" else (
+    text = _frobenius_json(payload) if args.fmt == "json" else (
         "S({a}, {b}): frobenius number {frobenius_number}\n"
         "non-realizing set: {nonrealizing_set}\n"
         "sylvester duality: {sylvester_duality}\n"

@@ -156,9 +156,11 @@ def oracle_verify(pair: DilationPair) -> OracleReport:
     breakpoints, those past T/gcd(|a|, |c|) by periodicity; piecewise
     constancy makes this a complete cover of R.  The scan is
     ``_oracle._oracle_min``, one step per gap of the sparser breakpoint
-    progression, run through ``_oracle._report`` (which adds the
-    axis case) on the factors' numerators and denominators, read once; this
-    function adds the type guard and the report.  The axis report and a
+    progression, which gives the least value and the sub-gap where it is
+    first reached, run through ``_oracle._report`` (which adds the axis case
+    and locates the argmin in that sub-gap) on the factors' numerators and
+    denominators, read once; this function adds the type guard and the
+    report.  The axis report and a
     member's argmin 0 are shared module constants, so a report builds at most
     two Fractions: the period and a non-member's argmin.
     """

@@ -306,7 +306,9 @@ def walk_calls(monkeypatch):
         calls.append((a, b, c, d))
         return walk(a, b, c, d)
 
+    # the sweep calls the walk through the CLI's own binding, classify through _oracle._report
     monkeypatch.setattr(_oracle, "_oracle_min", counting_walk)
+    monkeypatch.setattr(cli, "_oracle_min", counting_walk)
     return calls
 
 
@@ -365,6 +367,34 @@ def test_sweep_csv_equals_a_csv_writer_rendering(quadrant, sweep_4_4_rows, capsy
     assert capsys.readouterr().out == buffer.getvalue()
 
 
+@pytest.mark.parametrize("bounds", [("4", "4"), ("1", "1")], ids=["P4-Q4", "P1-Q1"])
+@pytest.mark.parametrize("quadrant", ["all", "++", "+-", "-+", "--"])
+def test_sweep_json_layout_equals_json_dumps(quadrant, bounds, capsys):
+    # the sweep lays its JSON out by hand; the bytes are json.dumps(indent=2)'s
+    num_bound, den_bound = bounds
+    assert main(["sweep", "-P", num_bound, "-Q", den_bound, "--json", f"--quadrant={quadrant}"]) == 0
+    text = capsys.readouterr().out
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=2) + "\n"
+    if bounds == ("4", "4") and quadrant == "all":
+        # every witness kind's params template, neg_sporadic's five included
+        assert {row["witness_kind"] for row in payload["rows"]} == {"", *_decide.WITNESS_FIELDS}
+        assert "p=1;q=2;m=0;n=1;r=2" in {row["witness_params"] for row in payload["rows"]}
+
+
+SPORADIC_ROW = ("-2", "-4/3", True, "neg_sporadic", "p=1;q=2;m=0;n=1;r=2", 0, True)
+
+
+@pytest.mark.parametrize("rows", [[], [SPORADIC_ROW], [("1/2", "-1", False, "", "", -1, False)]])
+def test_sweep_json_layout_on_zero_and_one_row(rows):
+    members, disagreements = sum(row[2] for row in rows), sum(not row[6] for row in rows)
+    payload = {
+        "rows": [dict(zip(cli.SWEEP_COLUMNS, row)) for row in rows],
+        "summary": {"pairs": len(rows), "members": members, "disagreements": disagreements},
+    }
+    assert cli._sweep_json(rows, members, disagreements) == json.dumps(payload, indent=2) + "\n"
+
+
 def test_classify_runs_the_oracle_once(walk_calls, capsys):
     for alpha, beta in [("2/3", "1/2"), ("1/3", "1/2"), ("-2", "-5/3"), ("3/7", "-2")]:
         walk_calls.clear()
@@ -389,9 +419,10 @@ def test_classify_takes_a_non_members_counterexample_from_the_oracle(alpha, beta
         assert main(["classify", alpha, beta]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["counterexample"] == payload["oracle"]["argmin"]
-    # the argmin is checked like a certificate: a negative minimum claimed at 0 raises
+    # the argmin is checked like a certificate: a negative minimum claimed at 0 raises; the walk
+    # gives only the sub-gap that _report locates the argmin in, so the claim is _report's
     with monkeypatch.context() as patch:
-        patch.setattr(_oracle, "_oracle_min", lambda a, b, c, d: (-1, 0, 1))
+        patch.setattr(cli, "_report", lambda a, b, c, d: (b * d, -1, 0, 2 * abs(a * c), 1))
         with pytest.raises(RuntimeError):
             main(["classify", alpha, beta])
     # without it, the counterexample is still the least certificate
@@ -569,6 +600,27 @@ def test_frobenius_command(capsys):
     assert payload["frobenius_number"] == 7
     assert payload["nonrealizing_set"] == [1, 2, 4, 7]
     assert payload["sylvester_duality"] is True
+
+
+@pytest.mark.parametrize("generators", [("2", "3"), ("3", "5"), ("7", "11")])
+def test_frobenius_json_layout_equals_json_dumps(generators, capsys):
+    assert main(["frobenius", *generators]) == 0
+    text = capsys.readouterr().out
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("gaps", [[], [1]])
+def test_frobenius_json_layout_on_zero_and_one_gap(gaps):
+    # a semigroup with no gaps is refused before output; the layout still matches json.dumps
+    payload = {
+        "a": 2 if gaps else 1,
+        "b": 3,
+        "frobenius_number": max(gaps, default=-1),
+        "nonrealizing_set": gaps,
+        "gap_count": len(gaps),
+        "sylvester_duality": True,
+    }
+    assert cli._frobenius_json(payload) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_frobenius_rejects_bad_generators(capsys):

@@ -67,6 +67,18 @@ def test_streaming_oracle_matches_reference_on_grid():
     assert len(grid) ** 2 == 16129
 
 
+def test_walk_gives_the_reports_least_value():
+    # the sweep prints the walk's least value without _report, which locates the argmin from lo
+    grid = signed_grid(10, 10)
+    for alpha in grid:
+        for beta in grid:
+            a, b, c, d = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+            least, lo, breakpoints = _oracle._oracle_min(a, b, c, d)
+            _, report_least, _, _, report_breakpoints = _oracle._report(a, b, c, d)
+            assert (least, breakpoints) == (report_least, report_breakpoints), (alpha, beta)
+            assert least < 0 or lo == 0, (alpha, beta)
+
+
 def test_walk_covers_one_true_period_and_skips_a_zero_floor(monkeypatch):
     # the commutator repeats every b*d/gcd(|a|, |c|), and at alpha < 0 < beta
     # its floor 0 is the value at x = 0: walking more changes no answer, only

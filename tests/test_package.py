@@ -102,16 +102,19 @@ def test_namespace_contract_in_a_fresh_interpreter(code):
     assert result.returncode == 0, result.stderr
 
 
-# runs `python -m floorcomm ARGS` in this interpreter and prints its exit code and sys.modules
+# runs `python -m floorcomm ARGS` in this interpreter and prints its exit code and sys.modules,
+# read before the wrapper imports json to print them
 FOOTPRINT_WRAPPER = """
-import contextlib, io, json, runpy, sys
+import contextlib, io, runpy, sys
 sys.argv = ["floorcomm", *sys.argv[1:]]
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         runpy.run_module("floorcomm", run_name="__main__", alter_sys=True)
     except SystemExit as exc:
         code = exc.code
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+modules = sorted(sys.modules)
+import json
+print(json.dumps({"code": code, "modules": modules}))
 """
 
 # every command loads the CLI and the integer decision path that it imports
@@ -122,35 +125,43 @@ OTHER_COMMANDS = {"floorcomm.geometry", "floorcomm.beatty", "floorcomm.semigroup
 RECORDS = {"floorcomm.classify", "floorcomm.floorfn", "floorcomm.plot", "floorcomm.preorder"}
 
 
-def by_ints(*private: str) -> tuple[set[str], set[str]]:
+def with_json(loaded: set[str], unused: set[str], dumps: bool) -> tuple[set[str], set[str]]:
+    """``json`` loads only where ``cli._json`` encodes the output: not for CSV, plain lines or SVG,
+    nor for the JSON of ``sweep`` and ``frobenius``, which is laid out by hand."""
+    return (loaded | {"json"}, unused) if dumps else (loaded, unused | {"json"})
+
+
+def by_ints(*private: str, dumps: bool = True) -> tuple[set[str], set[str]]:
     """A command on integer parts, with the private modules it adds to the CLI's: no record, so no dataclasses."""
-    return CLI | {f"floorcomm.{module}" for module in private}, OTHER_COMMANDS | RECORDS | {"dataclasses"}
+    loaded = CLI | {f"floorcomm.{module}" for module in private}
+    return with_json(loaded, OTHER_COMMANDS | RECORDS | {"dataclasses"}, dumps)
 
 
-def running(module: str) -> tuple[set[str], set[str]]:
+def running(module: str, dumps: bool = True) -> tuple[set[str], set[str]]:
     """A command that loads floorcomm.MODULE beside the CLI, and no record module."""
     loaded = CLI | {f"floorcomm.{module}"}
-    return loaded, (OTHER_COMMANDS - loaded) | RECORDS
+    return with_json(loaded, (OTHER_COMMANDS - loaded) | RECORDS, dumps)
 
 
 @pytest.mark.parametrize(
     "argv, code, loaded, unused",
     [
         (["classify", "1/3", "1/2"], 0, *by_ints()),
-        (["classify", "2/3", "1/2", "--plain"], 1, *by_ints()),
+        (["classify", "2/3", "1/2", "--plain"], 1, *by_ints(dumps=False)),
         (["classify", "-2", "-5/3", "--no-oracle"], 1, *by_ints()),
         (["verify", "2/3", "1/2"], 1, *by_ints()),
-        (["frobenius", "3", "5"], 0, *running("semigroup")),
-        (["sweep", "-P", "2", "-Q", "2"], 0, *by_ints()),
-        (["sweep", "-P", "2", "-Q", "2", "--json"], 0, *by_ints()),
+        (["verify", "2/3", "1/2", "--plain"], 1, *by_ints(dumps=False)),
+        (["frobenius", "3", "5"], 0, *running("semigroup", dumps=False)),
+        (["sweep", "-P", "2", "-Q", "2"], 0, *by_ints(dumps=False)),
+        (["sweep", "-P", "2", "-Q", "2", "--json"], 0, *by_ints(dumps=False)),
         (["beatty", "5/2", "5/3"], 0, *running("beatty")),
         (["preorder", "-P", "2", "-Q", "2"], 0, *by_ints("_preorder")),
-        (["preorder", "-P", "2", "-Q", "2", "--csv"], 0, *by_ints("_preorder")),
-        (["plot"], 0, *by_ints("_plot")),
+        (["preorder", "-P", "2", "-Q", "2", "--csv"], 0, *by_ints("_preorder", dumps=False)),
+        (["plot"], 0, *by_ints("_plot", dumps=False)),
         (
             ["plot", "-M", "6", "-D", "6", "-R", "4", "--samples", "256", "--viewbox", "-3", "3", "-3", "3"],
             0,
-            *by_ints("_plot"),
+            *by_ints("_plot", dumps=False),
         ),
     ],
     ids=[
@@ -158,6 +169,7 @@ def running(module: str) -> tuple[set[str], set[str]]:
         "classify-plain",
         "classify-no-oracle",
         "verify",
+        "verify-plain",
         "frobenius",
         "sweep",
         "sweep-json",
