@@ -67,8 +67,8 @@ def disjointness_witness(u: Rat | int, v: Rat | int) -> tuple[int, int] | None:
     two-generator equation: its least-m solution, or None when no such pair
     exists.  It is the classifier's positive line at (alpha, beta) = (1/u, v/u).
     """
-    u, v = positive_rat(u, _POSITIVE), positive_rat(v, _POSITIVE)
-    p, q, r, s = u.numerator, u.denominator, v.numerator, v.denominator
+    p, q = positive_rat(u, _POSITIVE).as_integer_ratio()
+    r, s = positive_rat(v, _POSITIVE).as_integer_ratio()
     return _least_representation(q * r, s * p, p * r)
 
 
@@ -81,8 +81,8 @@ def _least_common_reduced(u: Rat, v: Rat) -> int | None:
     order with ``_in_reduced``.  A parameter below 1 has reduced set all of
     Z, and then the scan stops within num of the other parameter steps.
     """
-    pu, qu = u.numerator, u.denominator
-    pv, qv = v.numerator, v.denominator
+    pu, qu = u.as_integer_ratio()
+    pv, qv = v.as_integer_ratio()
     if qu == 1 or qv == 1:
         return None
     for m in range(lcm(pu, pv)):

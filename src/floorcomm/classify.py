@@ -14,10 +14,11 @@ placing the pair on one of the member families:
 
 Each family condition is a linear congruence in the numerators and
 denominators, so the whole decision runs on the four integer parts of the
-pair, read once, in ``_decide``: its sign dispatch ``_witness`` returns the
-witness a scan in increasing m (then n) would meet first as a tuple (kind,
-params), and ``_counterexample`` a non-member's least violating breakpoint as
-a numerator and a denominator.  The searches and their costs:
+pair, read once by two ``as_integer_ratio()`` calls, in ``_decide``: its sign
+dispatch ``_witness`` returns the witness a scan in increasing m (then n)
+would meet first as a tuple (kind, params), and ``_counterexample`` a
+non-member's least violating breakpoint as a numerator and a denominator.
+The searches and their costs:
 
     positive line   least m of m*(a*c) + n*(a*d) = b*c, one modular inverse
                     (``_kernels._least_representation``, shared with
@@ -40,9 +41,10 @@ polynomial in the bit length of the inputs; the sporadic scan is still linear
 in m_top < p, and the non-member certificate in the lcm of the numerators.
 The certificate search decides membership on its own, so a non-member's
 verdict carries an x with commutator < 0, checked on the integer parts by one
-``_oracle._commutator`` call before x becomes the verdict's one Fraction, and
-no oracle runs here; the period oracle cross-checks verdicts in the CLI and
-the test suite.  This module wraps the tuples in the records below: a
+``_oracle._commutator`` call before x becomes the verdict's one Fraction,
+built from the checked ints by ``exact._fraction``, and no oracle runs
+here; the period oracle cross-checks verdicts in the CLI and the test
+suite.  This module wraps the tuples in the records below: a
 member's witness record is built from its (kind, params) through one table,
 and ``positive_witness`` and ``negative_witness`` add their guards to the
 same searches.
@@ -71,7 +73,7 @@ from math import gcd
 from typing import ClassVar, Union
 
 from ._decide import _counterexample, _negative, _positive, _witness
-from .exact import Rat, as_rat, positive_rat, require_int, require_type
+from .exact import Rat, _fraction, as_rat, positive_rat, require_int, require_type
 from .floorfn import _POSITIVE, DilationPair
 
 _QUADRANT = "symmetries are defined on the open positive quadrant"
@@ -265,8 +267,9 @@ def is_member(pair: DilationPair) -> bool:
     """Membership by sign dispatch and witness search, without the oracle."""
     if type(pair) is not DilationPair:
         require_type(pair, DilationPair)
-    alpha, beta = pair.alpha, pair.beta
-    return _witness(alpha.numerator, alpha.denominator, beta.numerator, beta.denominator) is not None
+    a, b = pair.alpha.as_integer_ratio()
+    c, d = pair.beta.as_integer_ratio()
+    return _witness(a, b, c, d) is not None
 
 
 def classify(pair: DilationPair) -> Verdict:
@@ -275,19 +278,19 @@ def classify(pair: DilationPair) -> Verdict:
     The pair's four integer parts are read once and decide everything.  A
     member carries its family witness.  A non-member carries the least
     violating breakpoint of ``_decide._counterexample``, checked in integers
-    before its one Fraction is built; the oracle is not run.  The two
-    searches decide membership independently, so a non-member without a
-    certificate, or a certificate whose commutator is not negative, is a bug
-    and raises RuntimeError.
+    before its one Fraction is built by ``exact._fraction``; the oracle is
+    not run.  The two searches decide membership independently, so a
+    non-member without a certificate, or a certificate whose commutator is
+    not negative, is a bug and raises RuntimeError.
     """
     if type(pair) is not DilationPair:
         require_type(pair, DilationPair)
-    alpha, beta = pair.alpha, pair.beta
-    a, b, c, d = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+    a, b = pair.alpha.as_integer_ratio()
+    c, d = pair.beta.as_integer_ratio()
     witness = _witness(a, b, c, d)
     if witness is not None:
         return Verdict(pair, True, _record(witness), None)
-    return Verdict(pair, False, None, Fraction(*_counterexample(a, b, c, d)))
+    return Verdict(pair, False, None, _fraction(*_counterexample(a, b, c, d)))
 
 
 def to_munu(alpha: Rat, beta: Rat) -> MuNu:
@@ -297,11 +300,12 @@ def to_munu(alpha: Rat, beta: Rat) -> MuNu:
 
 
 def from_munu(coords: MuNu) -> DilationPair:
-    """(mu, nu) -> (1/mu, nu/mu), built from the integer products."""
+    """(mu, nu) -> (1/mu, nu/mu), built from the integer products by ``exact._fraction``: mu, nu > 0."""
     if type(coords) is not MuNu:
         require_type(coords, MuNu)
-    a, b = coords.mu.numerator, coords.mu.denominator
-    return DilationPair(Fraction(b, a), Fraction(coords.nu.numerator * b, coords.nu.denominator * a))
+    a, b = coords.mu.as_integer_ratio()
+    c, d = coords.nu.as_integer_ratio()
+    return DilationPair(_fraction(b, a), _fraction(c * b, d * a))
 
 
 def to_sigmatau(alpha: Rat, beta: Rat) -> SigmaTau:
@@ -311,11 +315,13 @@ def to_sigmatau(alpha: Rat, beta: Rat) -> SigmaTau:
 
 
 def from_sigmatau(coords: SigmaTau) -> DilationPair:
-    """(sigma, tau) -> (sigma, sigma/tau), built from the integer products."""
+    """(sigma, tau) -> (sigma, sigma/tau), built from the integer products by ``exact._fraction``: tau > 0."""
     if type(coords) is not SigmaTau:
         require_type(coords, SigmaTau)
-    sigma, tau = coords.sigma, coords.tau
-    return DilationPair(sigma, Fraction(sigma.numerator * tau.denominator, sigma.denominator * tau.numerator))
+    sigma = coords.sigma
+    a, b = sigma.as_integer_ratio()
+    c, d = coords.tau.as_integer_ratio()
+    return DilationPair(sigma, _fraction(a * d, b * c))
 
 
 def _quadrant_factors(pair: DilationPair) -> tuple[Rat, Rat]:

@@ -27,8 +27,9 @@ checks a payload's proof on its integer parts and imports the records only to
 build the ``Verdict``.  ``beatty`` and ``frobenius`` import the module they
 use when they run, so a start loads only what its command runs.  No command
 loads ``csv``: ``_csv`` writes the CSV of ``preorder`` by hand.  ``json``
-loads only when ``_json`` encodes a payload; the JSON of ``sweep`` and
-``frobenius``, the two large shapes, is laid out by hand with the same bytes.
+loads only when ``_json`` encodes a payload; the JSON of ``sweep``,
+``frobenius`` and ``preorder``, the large shapes, is laid out by hand with the
+same bytes.
 """
 
 from __future__ import annotations
@@ -240,6 +241,11 @@ _SweepRow = tuple[str, str, bool, str, str, int, bool]  # the cells of SWEEP_COL
 _PARAMS_TEXT = {kind: ";".join(f"{key}={{}}" for key in keys).format for kind, keys in WITNESS_FIELDS.items()}
 
 
+def _json_list(items: Sequence[str], indent: str) -> str:
+    """Encoded items as a ``json.dumps(indent=2)`` list whose closing bracket is indented by indent."""
+    return f"[\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}]" if items else "[]"
+
+
 def _sweep_csv(rows: Sequence[_SweepRow]) -> str:
     """The sweep's rows under its header as CSV, one f-string per row.
 
@@ -261,14 +267,13 @@ def _sweep_json(rows: Sequence[_SweepRow], members: int, disagreements: int) -> 
     The text cells need no escaping (see ``_sweep_csv``), so these are the
     bytes of ``json.dumps(indent=2)`` without its pure-Python encoder.
     """
-    body = ",\n".join([
-        f'    {{\n      "alpha": "{alpha}",\n      "beta": "{beta}",\n'
+    listed = _json_list([
+        f'{{\n      "alpha": "{alpha}",\n      "beta": "{beta}",\n'
         f'      "member": {"true" if member else "false"},\n      "witness_kind": "{kind}",\n'
         f'      "witness_params": "{params}",\n      "oracle_min": {least},\n'
         f'      "agree": {"true" if agree else "false"}\n    }}'
         for alpha, beta, member, kind, params, least, agree in rows
-    ])
-    listed = f"[\n{body}\n  ]" if rows else "[]"
+    ], "  ")
     return (
         f'{{\n  "rows": {listed},\n  "summary": {{\n    "pairs": {len(rows)},\n'
         f'    "members": {members},\n    "disagreements": {disagreements}\n  }}\n}}\n'
@@ -377,6 +382,27 @@ def cmd_frobenius(args: argparse.Namespace) -> tuple[str, int]:
     return text, 0
 
 
+def _preorder_json(payload: dict[str, Any]) -> str:
+    """``_json`` of the ``preorder`` payload, laid out by hand.
+
+    Every cell is ``p/q`` text or a bool, none needing escaping, so these are
+    the bytes of ``json.dumps(indent=2)`` without its pure-Python encoder.
+    """
+
+    def texts(labels: Sequence[str], indent: str) -> str:
+        return _json_list([f'"{label}"' for label in labels], indent)
+
+    cells = ("false", "true").__getitem__
+    precedes = _json_list([_json_list(list(map(cells, row)), "    ") for row in payload["precedes"]], "  ")
+    violation = payload["transitivity_counterexample"]
+    classes = _json_list([texts(cls, "    ") for cls in payload["equivalence_classes"]], "  ")
+    return (
+        f'{{\n  "values": {texts(payload["values"], "  ")},\n  "precedes": {precedes},\n'
+        f'  "transitivity_counterexample": {"null" if violation is None else texts(violation, "  ")},\n'
+        f'  "equivalence_classes": {classes}\n}}\n'
+    )
+
+
 def cmd_preorder(args: argparse.Namespace) -> tuple[str, int, str]:
     from ._preorder import _classes, _matrix, _rows, _violation
 
@@ -389,7 +415,7 @@ def cmd_preorder(args: argparse.Namespace) -> tuple[str, int, str]:
     if args.fmt == "plain":
         text = _csv([["alpha\\beta", *labels], *([label, *row] for label, row in zip(labels, matrix))])
     else:
-        text = _json({
+        text = _preorder_json({
             "values": labels,
             "precedes": matrix,
             "transitivity_counterexample": None if violation is None else [labels[i] for i in violation],

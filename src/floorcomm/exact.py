@@ -5,6 +5,13 @@ lowest terms with a positive denominator, so equality is structural and no
 computation rounds; the decision path under it runs on integer parts, printed
 by ``_rat_text``.  The text format is ``p`` or ``p/q`` with q >= 1: decimals
 are refused, as they cannot represent the dilation factors exactly.
+
+The entry points that a benchmark workload calls once per op read a
+Fraction's parts with one ``as_integer_ratio()`` call and build a result
+from integer parts with ``_fraction``, which reduces by ``gcd`` and fills the
+two slots of a ``Fraction`` without its constructor's argument checks; it is
+the package's only code that names those slots.  README "Shortcuts" lists
+its callers.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ from fractions import Fraction
 from math import gcd
 
 Rat = Fraction
+
+_new = object.__new__
 
 _RAT_PATTERN = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
@@ -95,6 +104,19 @@ def parse_rat(text: str) -> Rat:
 def format_rat(x: Rat | int) -> str:
     """Render in lowest terms: ``p`` for integers, ``p/q`` otherwise; float and bool raise TypeError."""
     return str(as_rat(x))
+
+
+def _fraction(num: int, den: int) -> Rat:
+    """``Fraction(num, den)`` for ints num and den >= 1, reduced by one ``gcd`` without the constructor's checks.
+
+    The caller guarantees both types and den >= 1; the result is the same
+    value in the same lowest terms, positive denominator, as the constructor's.
+    """
+    g = gcd(num, den)
+    x = _new(Fraction)
+    x._numerator = num // g
+    x._denominator = den // g
+    return x
 
 
 def _rat_text(num: int, den: int) -> str:

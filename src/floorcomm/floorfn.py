@@ -47,7 +47,7 @@ from fractions import Fraction
 
 from ._kernels import _least_k
 from ._oracle import _commutator, _report
-from .exact import Rat, as_rat, positive_rat, rat_ceil, rat_floor, require_type
+from .exact import Rat, _fraction, as_rat, positive_rat, rat_ceil, rat_floor, require_type
 
 _POSITIVE = "dilation factors must be positive"
 
@@ -159,18 +159,20 @@ def oracle_verify(pair: DilationPair) -> OracleReport:
     progression, which gives the least value and the sub-gap where it is
     first reached, run through ``_oracle._report`` (which adds the axis case
     and locates the argmin in that sub-gap) on the factors' numerators and
-    denominators, read once; this function adds the type guard and the
-    report.  The axis report and a
+    denominators, read once by two ``as_integer_ratio()`` calls; this
+    function adds the type guard and the report.  The axis report and a
     member's argmin 0 are shared module constants, so a report builds at most
-    two Fractions: the period and a non-member's argmin.
+    two Fractions, the period and a non-member's argmin, each from its ints
+    by ``exact._fraction``.
     """
     if type(pair) is not DilationPair:
         require_type(pair, DilationPair)
-    alpha, beta = pair.alpha, pair.beta
-    period, best, num, den, breakpoints = _report(alpha.numerator, alpha.denominator, beta.numerator, beta.denominator)
+    a, b = pair.alpha.as_integer_ratio()
+    c, d = pair.beta.as_integer_ratio()
+    period, best, num, den, breakpoints = _report(a, b, c, d)
     if not breakpoints:  # an axis pair: nothing was walked
         return _AXIS_REPORT
-    return OracleReport(Fraction(period), best, Fraction(num, den) if num else _ZERO, breakpoints, 2 * breakpoints)
+    return OracleReport(_fraction(period, 1), best, _fraction(num, den) if num else _ZERO, breakpoints, 2 * breakpoints)
 
 
 def integer_rounding_check(alpha: Rat | int, beta: Rat | int) -> tuple[bool, int | None]:
@@ -182,8 +184,9 @@ def integer_rounding_check(alpha: Rat | int, beta: Rat | int) -> tuple[bool, int
     least k of that scan is the least violating n >= 0.  Returns (True, None)
     or (False, n).
     """
-    alpha, beta = positive_rat(alpha, _POSITIVE), positive_rat(beta, _POSITIVE)
-    k = _least_k(alpha.numerator, alpha.denominator, beta.numerator, beta.denominator, 0)
+    a, b = positive_rat(alpha, _POSITIVE).as_integer_ratio()
+    c, d = positive_rat(beta, _POSITIVE).as_integer_ratio()
+    k = _least_k(a, b, c, d, 0)
     return (True, None) if k is None else (False, k)
 
 

@@ -46,8 +46,10 @@ def lattice_diag_disjoint(params: LatticeParams) -> tuple[bool, tuple[int, int] 
     m = _least_common_reduced(mu, nu)
     if m is None:
         return True, None
-    k = (m * mu.denominator) // mu.numerator + 1  # least k with k*mu > m
-    ell = (m * nu.denominator) // nu.numerator + 1
+    a, b = mu.as_integer_ratio()
+    c, d = nu.as_integer_ratio()
+    k = (m * b) // a + 1  # least k with k*mu > m
+    ell = (m * d) // c + 1
     return False, (k, ell)
 
 
@@ -86,8 +88,8 @@ def torus_subgroup_avoids(rect: CornerRect) -> tuple[bool, int | None]:
     """
     if type(rect) is not SigmaTau:
         require_type(rect, SigmaTau)
-    ps, qs = rect.sigma.numerator, rect.sigma.denominator
-    pt, qt = rect.tau.numerator, rect.tau.denominator
+    ps, qs = rect.sigma.as_integer_ratio()
+    pt, qt = rect.tau.as_integer_ratio()
     wrap_x, wrap_y = ps > qs, pt > qt  # a side above 1 covers its whole circle
     for n in range(1, lcm(qs, qt) + 1):
         # frac(n*sigma) < sigma reduces to (n*ps mod qs) < ps when sigma <= 1

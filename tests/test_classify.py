@@ -32,6 +32,7 @@ from floorcomm.classify import (
     to_sigmatau,
 )
 from floorcomm.cli import main
+from floorcomm.exact import _fraction
 from floorcomm.floorfn import DilationPair, commutator, oracle_verify
 
 
@@ -181,6 +182,29 @@ def test_public_searches_match_the_dispatch_on_grid():
     assert same_sign == 2 * (len(grid) // 2) ** 2
 
 
+def count_fractions_built(monkeypatch) -> list[tuple]:
+    """A list that records the arguments of each Fraction built from here on.
+
+    Each ``Fraction.__new__`` call and each ``exact._fraction`` call, at its
+    bindings in ``classify`` and ``floorfn``, appends one entry.
+    """
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    def counting_fraction(num, den):
+        built.append((num, den))
+        return _fraction(num, den)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for module in ("floorcomm.classify", "floorcomm.floorfn"):
+        monkeypatch.setattr(sys.modules[module], "_fraction", counting_fraction)
+    return built
+
+
 @pytest.mark.parametrize(
     "alpha, beta, by_classify, by_oracle",
     [
@@ -195,19 +219,26 @@ def test_public_searches_match_the_dispatch_on_grid():
 def test_fractions_built_per_pair(monkeypatch, alpha, beta, by_classify, by_oracle):
     pair = DilationPair(alpha, beta)
     expected = classify(pair), oracle_verify(pair)
-    built = []
-    new = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    built = count_fractions_built(monkeypatch)
     assert classify(pair) == expected[0]
     assert len(built) == by_classify, built
     built.clear()
     assert oracle_verify(pair) == expected[1]
     assert len(built) == by_oracle, built
+
+
+@pytest.mark.parametrize(
+    "convert, coords, count",
+    [
+        (from_munu, MuNu(Fraction(3, 2), Fraction(3, 4)), 2),  # 1/mu and nu/mu
+        (from_sigmatau, SigmaTau(Fraction(2, 3), Fraction(4, 3)), 1),  # sigma/tau; sigma is kept
+    ],
+)
+def test_fractions_built_per_coordinate_change(monkeypatch, convert, coords, count):
+    expected = convert(coords)
+    built = count_fractions_built(monkeypatch)
+    assert convert(coords) == expected
+    assert len(built) == count, built
 
 
 def test_diagonal_family_members():

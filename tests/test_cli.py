@@ -630,6 +630,29 @@ def test_frobenius_rejects_bad_generators(capsys):
     assert "error:" in err
 
 
+ONE_VALUE_PREORDER = {
+    "values": ["1"],
+    "precedes": [[True]],
+    "transitivity_counterexample": None,
+    "equivalence_classes": [["1"]],
+}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"values": [], "precedes": [], "transitivity_counterexample": None, "equivalence_classes": []},
+        ONE_VALUE_PREORDER,
+        # the layout of a violation, which a transitive relation never prints
+        ONE_VALUE_PREORDER | {"transitivity_counterexample": ["1", "1", "1"]},
+        json.loads((DATA / "preorder_P3_Q3.json").read_text()),
+    ],
+    ids=["zero-values", "one-value", "one-value-violation", "P3-Q3"],
+)
+def test_preorder_json_layout_equals_json_dumps(payload):
+    assert cli._preorder_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
 def test_preorder_command(capsys):
     assert main(["preorder", "-P", "2", "-Q", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)

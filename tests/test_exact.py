@@ -1,9 +1,10 @@
 """Exact rational scalars: construction, parsing, floor/ceiling invariants."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from floorcomm.beatty import (
@@ -23,7 +24,7 @@ from floorcomm.classify import (
     to_munu,
     to_sigmatau,
 )
-from floorcomm.exact import format_rat, parse_rat, positive_rat, rat, rat_ceil, rat_floor
+from floorcomm.exact import _fraction, format_rat, parse_rat, positive_rat, rat, rat_ceil, rat_floor
 from floorcomm.floorfn import DilationPair, integer_rounding_check, rounding_order
 from floorcomm.geometry import circle_arc_contains
 
@@ -33,6 +34,25 @@ rationals = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10*
 def test_construction_reduces():
     assert rat(2, 4) == Fraction(1, 2)
     assert (rat(2, 4).numerator, rat(2, 4).denominator) == (1, 2)
+
+
+@given(st.integers(-(10**40), 10**40), st.integers(1, 10**40), rationals)
+@example(0, 7, Fraction(1, 2))
+@example(-(10**40), 10**40, Fraction(-3, 4))
+def test_private_constructor_builds_the_same_fraction(num, den, other):
+    built, expected = _fraction(num, den), Fraction(num, den)
+    assert type(built) is Fraction
+    assert built == expected
+    assert (built.numerator, built.denominator) == (expected.numerator, expected.denominator)
+    assert hash(built) == hash(expected)
+    assert (str(built), repr(built)) == (str(expected), repr(expected))
+    assert pickle.loads(pickle.dumps(built)) == expected
+    assert built + other == expected + other
+
+
+def test_fraction_keeps_the_slots_that_the_private_constructor_fills():
+    # _fraction writes these two slots itself: a Fraction laid out otherwise fails here, not in a value
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
 
 
 def test_construction_normalizes_sign():

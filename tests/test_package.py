@@ -17,6 +17,7 @@ The namespace and footprint tests each run in a fresh interpreter, because a
 name resolved or a module imported by an earlier test would hide a fault.
 """
 
+import ast
 import copy
 import dataclasses
 import inspect
@@ -25,6 +26,7 @@ import pickle
 import subprocess
 import typing
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -127,7 +129,7 @@ RECORDS = {"floorcomm.classify", "floorcomm.floorfn", "floorcomm.plot", "floorco
 
 def with_json(loaded: set[str], unused: set[str], dumps: bool) -> tuple[set[str], set[str]]:
     """``json`` loads only where ``cli._json`` encodes the output: not for CSV, plain lines or SVG,
-    nor for the JSON of ``sweep`` and ``frobenius``, which is laid out by hand."""
+    nor for the JSON of ``sweep``, ``frobenius`` and ``preorder``, which is laid out by hand."""
     return (loaded | {"json"}, unused) if dumps else (loaded, unused | {"json"})
 
 
@@ -155,7 +157,7 @@ def running(module: str, dumps: bool = True) -> tuple[set[str], set[str]]:
         (["sweep", "-P", "2", "-Q", "2"], 0, *by_ints(dumps=False)),
         (["sweep", "-P", "2", "-Q", "2", "--json"], 0, *by_ints(dumps=False)),
         (["beatty", "5/2", "5/3"], 0, *running("beatty")),
-        (["preorder", "-P", "2", "-Q", "2"], 0, *by_ints("_preorder")),
+        (["preorder", "-P", "2", "-Q", "2"], 0, *by_ints("_preorder", dumps=False)),
         (["preorder", "-P", "2", "-Q", "2", "--csv"], 0, *by_ints("_preorder", dumps=False)),
         (["plot"], 0, *by_ints("_plot", dumps=False)),
         (
@@ -347,3 +349,30 @@ def test_replace_runs_the_checks_of_the_hand_written_init():
     with pytest.raises(ValueError, match="sigma, tau must be positive"):
         dataclasses.replace(SigmaTau(1, 2), tau=0)
     assert dataclasses.replace(MuNu(1, 2), nu=3) == MuNu(Fraction(1), Fraction(3))
+
+
+FRACTION_SLOTS = {"_numerator", "_denominator"}
+
+
+def slot_names(node: ast.AST) -> list[tuple[str, int]]:
+    """Each place under node that names a Fraction slot, as an attribute or a string, with its line."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and sub.attr in FRACTION_SLOTS:
+            found.append((sub.attr, sub.lineno))
+        elif isinstance(sub, ast.Constant) and sub.value in FRACTION_SLOTS:
+            found.append((sub.value, sub.lineno))
+    return found
+
+
+def test_only_the_private_constructor_names_the_fraction_slots():
+    # exact._fraction fills a Fraction's slots without its constructor; no other code may touch them
+    elsewhere = []
+    for path in sorted(Path(floorcomm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.stem == "exact":
+            (constructor,) = [node for node in tree.body if getattr(node, "name", None) == "_fraction"]
+            assert {name for name, _ in slot_names(constructor)} == FRACTION_SLOTS
+            tree.body.remove(constructor)
+        elsewhere += [(path.name, name, line) for name, line in slot_names(tree)]
+    assert elsewhere == []
