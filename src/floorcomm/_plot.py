@@ -26,7 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .exact import Rat, _rat_text, as_rat, require_int
+from ._rattext import _rat_text
+from .exact import Rat, as_rat, require_int
 
 Pair = tuple[int, int]  # num, den with den > 0
 

@@ -10,26 +10,33 @@ Each command builds its payload once and returns the one text asked for
 ``preorder`` a summary line after them; ``main`` is the only writer of
 command output, and prints a summary only once the text is written.
 
-This module imports ``exact`` and the private integer modules ``_decide`` and
-``_oracle`` (``_decide`` loads ``_kernels``), which ``classify``, ``verify``
-and ``sweep`` run: they decide and verify each pair on its four integer parts
-and format the ints without building a record.  ``sweep`` prints only the
-oracle's least value, so it runs the walk ``_oracle_min`` and not
-``_report``, which also locates the argmin, and it writes each row through
-one fixed template, CSV or JSON.  ``preorder`` and ``plot``
-import the private modules ``_preorder`` and ``_plot`` when they run, and work
-on integer parts the same way: the relation's rows, its violation and classes
-as indices into the grid, and the figure as tuples of integer pairs.  So none
-of these five commands loads ``dataclasses`` or a record module (``classify``,
-``floorfn``, ``preorder``, ``plot``).  The ``*_to_dict`` functions serialise
-the records through the same payload builders, and ``verdict_from_dict``
-checks a payload's proof on its integer parts and imports the records only to
-build the ``Verdict``.  ``beatty`` and ``frobenius`` import the module they
-use when they run, so a start loads only what its command runs.  No command
-loads ``csv``: ``_csv`` writes the CSV of ``preorder`` by hand.  ``json``
-loads only when ``_json`` encodes a payload; the JSON of ``sweep``,
-``frobenius`` and ``preorder``, the large shapes, is laid out by hand with the
-same bytes.
+This module imports the private integer modules ``_rattext``, ``_decide``
+and ``_oracle`` (``_decide`` loads ``_kernels``), which ``classify``,
+``verify`` and ``sweep`` run: every rational argument is read into its
+integer parts by ``_rattext._rat_parts``, and each pair is decided and
+verified on its four parts and formatted by ``_rat_text`` without building a
+record or a ``Fraction``.  ``sweep`` and ``preorder`` take their grid from one
+enumeration of integer parts, ``_sweep_parts``, sorted exactly by
+cross-multiplication; the public ``sweep_values`` builds its Fractions from
+it.  ``sweep`` prints only the oracle's least value, so it runs the walk
+``_oracle_min`` and not ``_report``, which also locates the argmin, and it
+writes each row through one fixed template, CSV or JSON.  ``preorder`` and
+``plot`` import the private modules ``_preorder`` and ``_plot`` when they
+run, and work on integer parts the same way: the relation's rows, its
+violation and classes as indices into the grid, and the figure as tuples of
+integer pairs.  So none of these five commands loads ``dataclasses`` or a
+record module (``classify``, ``floorfn``, ``preorder``, ``plot``), and none
+but ``plot`` loads ``fractions``.  The ``*_to_dict`` functions serialise the
+records through the same payload builders, and ``verdict_from_dict`` checks a
+payload's proof on its integer parts and imports the records only to build
+the ``Verdict``.  ``beatty`` and ``frobenius`` import the module they use
+when they run, and ``beatty`` and ``plot`` build their Fractions from the
+parsed parts only then, so a start loads only what its command runs.  No
+command loads ``csv`` or ``json``: ``_csv`` writes the CSV of ``preorder`` by
+hand, ``_json`` encodes the small payloads of ``classify``, ``verify`` and
+``beatty`` with the bytes of ``json.dumps(indent=2)``, and the JSON of
+``sweep``, ``frobenius`` and ``preorder``, the large shapes, is laid out by
+hand with the same bytes.
 """
 
 from __future__ import annotations
@@ -38,18 +45,29 @@ import argparse
 import os
 import re
 import sys
-from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ._decide import WITNESS_FIELDS, _counterexample, _witness
 from ._oracle import _commutator, _oracle_min, _report
-from .exact import Rat, _rat_text, format_rat, parse_rat, require_int
+from ._rattext import _rat_parts, _rat_text
 
 if TYPE_CHECKING:
     from .classify import Verdict, Witness
+    from .exact import Rat
     from .floorfn import OracleReport
 
 _NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$")
+
+
+def _rat_arg(text: str) -> tuple[int, int]:
+    """A rational argument's parts (num, den) in lowest terms, read by ``_rat_parts``."""
+    return _rat_parts(text)
+
+
+# argparse names the type in a usage error by its __name__, as in "invalid parse_rat value: '1/0'"
+_rat_arg.__name__ = "parse_rat"
 
 
 # The payload builders below serve the record API (``*_to_dict``) and the
@@ -79,6 +97,8 @@ def witness_to_dict(witness: Witness | None) -> dict[str, Any] | None:
 
 
 def verdict_to_dict(verdict: Verdict) -> dict[str, Any]:
+    from .exact import format_rat
+
     x = verdict.counterexample
     return _verdict_payload(
         format_rat(verdict.pair.alpha),
@@ -99,6 +119,7 @@ def verdict_from_dict(data: dict[str, Any]) -> Verdict:
     with every param an int (not a bool or a float equal to one).
     """
     from .classify import Verdict, _record
+    from .exact import parse_rat
     from .floorfn import DilationPair
 
     try:
@@ -120,6 +141,8 @@ def verdict_from_dict(data: dict[str, Any]) -> Verdict:
 
 
 def report_to_dict(report: OracleReport) -> dict[str, Any]:
+    from .exact import format_rat
+
     return _report_payload(
         format_rat(report.period),
         report.min_value,
@@ -140,9 +163,39 @@ def _witness_params(kind: str, params: Iterable[int]) -> list[str]:
 
 
 def _json(payload: Any) -> str:
-    import json  # here, so that a command loads it only when it encodes through _json
+    """``json.dumps(payload, indent=2) + "\\n"`` for dicts with str keys, lists, str, int, bool and None.
 
-    return json.dumps(payload, indent=2) + "\n"
+    The payloads of ``classify``, ``verify`` and ``beatty`` hold only these,
+    their strings ``p/q`` text or identifiers, so no command loads ``json``;
+    a str that would need escaping is written by ``json.dumps`` itself.
+    """
+    return _json_value(payload, "") + "\n"
+
+
+def _json_value(value: Any, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` for a value nested at indent, a run of spaces."""
+    if isinstance(value, str):
+        # json.dumps writes printable ASCII as it is between quotes, but for '"' and '\'
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+        import json  # only for a str that needs escaping, which no command prints
+
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("_json takes only str keys")
+        items = [f"{_json_value(key, inner)}: {_json_value(item, inner)}" for key, item in value.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        return _json_list([_json_value(item, inner) for item in value], indent)
+    raise TypeError(f"_json cannot encode a {type(value).__name__}")
 
 
 def _csv(rows: Iterable[Sequence[Any]]) -> str:
@@ -161,8 +214,7 @@ def _csv(rows: Iterable[Sequence[Any]]) -> str:
 
 
 def cmd_classify(args: argparse.Namespace) -> tuple[str, int]:
-    alpha, beta = args.alpha, args.beta
-    a, b, c, d = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+    (a, b), (c, d) = args.alpha, args.beta
     witness = _witness(a, b, c, d)
     member = witness is not None
     report = None if args.no_oracle else _report(a, b, c, d)
@@ -172,8 +224,8 @@ def cmd_classify(args: argparse.Namespace) -> tuple[str, int]:
         # the certificate; the certificate is searched only when the oracle finds no negative value
         x = _counterexample(a, b, c, d, report[2:4] if report is not None and report[1] < 0 else None)
     payload = _verdict_payload(
-        format_rat(alpha),
-        format_rat(beta),
+        _rat_text(a, b),
+        _rat_text(c, d),
         member,
         None if witness is None else _witness_payload(*witness),
         None if x is None else _rat_text(*x),
@@ -197,9 +249,9 @@ def cmd_classify(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    alpha, beta = args.alpha, args.beta
-    payload = {"alpha": format_rat(alpha), "beta": format_rat(beta)}
-    payload |= _oracle_payload(_report(alpha.numerator, alpha.denominator, beta.numerator, beta.denominator))
+    (a, b), (c, d) = args.alpha, args.beta
+    payload = {"alpha": _rat_text(a, b), "beta": _rat_text(c, d)}
+    payload |= _oracle_payload(_report(a, b, c, d))
     member = payload["min_value"] >= 0
     payload["member"] = member
     text = _json(payload) if args.fmt == "json" else (
@@ -209,7 +261,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     return text, 0 if member else 1
 
 
-# on the numerators, which carry the sign of a Fraction
+# on the numerators, which carry the sign of a value
 _QUADRANT_TESTS = {
     "all": lambda a, b: True,
     "++": lambda a, b: a > 0 and b > 0,
@@ -219,18 +271,26 @@ _QUADRANT_TESTS = {
 }
 
 
-def sweep_values(num_bound: int, den_bound: int) -> list[Rat]:
-    """Distinct p/q with |p| <= num_bound, 1 <= q <= den_bound, plus 0; a bool or float bound raises TypeError."""
-    require_int(num_bound, "num_bound")
-    require_int(den_bound, "den_bound")
+def _sweep_parts(num_bound: int, den_bound: int) -> list[tuple[int, int]]:
+    """The parts (p, q) of ``sweep_values(num_bound, den_bound)``, in its order, for int bounds.
+
+    Each value once, in lowest terms: the coprime p, q in range, their
+    negatives and 0, sorted exactly by cross-multiplication.
+    """
     if num_bound < 1 or den_bound < 1:
         raise ValueError("sweep bounds must be >= 1")
-    values = {Fraction(0)}
-    for q in range(1, den_bound + 1):
-        for p in range(1, num_bound + 1):
-            values.add(Fraction(p, q))
-            values.add(Fraction(-p, q))
-    return sorted(values)
+    positive = [(p, q) for q in range(1, den_bound + 1) for p in range(1, num_bound + 1) if gcd(p, q) == 1]
+    positive.sort(key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
+    return [(-p, q) for p, q in reversed(positive)] + [(0, 1)] + positive
+
+
+def sweep_values(num_bound: int, den_bound: int) -> list[Rat]:
+    """Distinct p/q with |p| <= num_bound, 1 <= q <= den_bound, plus 0; a bool or float bound raises TypeError."""
+    from .exact import Rat, require_int
+
+    require_int(num_bound, "num_bound")
+    require_int(den_bound, "den_bound")
+    return [Rat(p, q) for p, q in _sweep_parts(num_bound, den_bound)]
 
 
 SWEEP_COLUMNS = ("alpha", "beta", "member", "witness_kind", "witness_params", "oracle_min", "agree")
@@ -281,11 +341,8 @@ def _sweep_json(rows: Sequence[_SweepRow], members: int, disagreements: int) -> 
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[str, int, str]:
-    # each value's integer parts and text, read and formatted once
-    values = [
-        (value.numerator, value.denominator, format_rat(value))
-        for value in sweep_values(args.num_bound, args.den_bound)
-    ]
+    # each value's integer parts and text, formatted once
+    values = [(p, q, _rat_text(p, q)) for p, q in _sweep_parts(args.num_bound, args.den_bound)]
     # argparse drops the lone "--" of --quadrant=-- and leaves an empty list
     in_quadrant = _QUADRANT_TESTS[args.quadrant or "--"]
     rows = []
@@ -310,8 +367,9 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int, str]:
 
 def cmd_beatty(args: argparse.Namespace) -> tuple[str, int]:
     from .beatty import beatty_contains, beatty_pos_contains, disjointness_witness, reduced_contains, reduced_disjoint
+    from .exact import Rat
 
-    u, v = args.u, args.v
+    u, v = Rat(*args.u), Rat(*args.v)
     lo, hi = args.window
     if lo > hi:
         raise ValueError(f"empty window: LO = {lo} > HI = {hi}")
@@ -326,8 +384,8 @@ def cmd_beatty(args: argparse.Namespace) -> tuple[str, int]:
         return {name: [m for m in window if contains(value, m)] for name, contains in flavors.items()}
 
     payload = {
-        "u": format_rat(u),
-        "v": format_rat(v),
+        "u": _rat_text(*args.u),
+        "v": _rat_text(*args.v),
         "criterion": None if criterion is None else {"m": criterion[0], "n": criterion[1]},
         "reduced_disjoint": disjoint,
         "agree": (criterion is not None) == disjoint,
@@ -406,9 +464,8 @@ def _preorder_json(payload: dict[str, Any]) -> str:
 def cmd_preorder(args: argparse.Namespace) -> tuple[str, int, str]:
     from ._preorder import _classes, _matrix, _rows, _violation
 
-    values = [value for value in sweep_values(args.num_bound, args.den_bound) if value != 0]
-    parts = [(value.numerator, value.denominator) for value in values]
-    labels = [format_rat(value) for value in values]
+    parts = [part for part in _sweep_parts(args.num_bound, args.den_bound) if part[0]]
+    labels = [_rat_text(*part) for part in parts]
     rows = _rows(parts)
     matrix = _matrix(rows, len(rows))
     violation = _violation(rows)
@@ -427,10 +484,11 @@ def cmd_preorder(args: argparse.Namespace) -> tuple[str, int, str]:
 
 def cmd_plot(args: argparse.Namespace) -> tuple[str, int]:
     from ._plot import COUNT_DEFAULTS, _check_spec, _model, _render
+    from .exact import Rat
 
     # a count left off the command line is absent from args and takes its PlotSpec default
     counts = [getattr(args, name, default) for name, default in COUNT_DEFAULTS.items()]
-    box = _check_spec(*args.viewbox, *counts)
+    box = _check_spec(*(Rat(*part) for part in args.viewbox), *counts)
     return _render(box, *_model(box, *counts), args.width), 0
 
 
@@ -448,15 +506,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="membership verdict with certifying witness")
-    p.add_argument("alpha", type=parse_rat, help="dilation factor, p or p/q")
-    p.add_argument("beta", type=parse_rat, help="dilation factor, p or p/q")
+    p.add_argument("alpha", type=_rat_arg, help="dilation factor, p or p/q")
+    p.add_argument("beta", type=_rat_arg, help="dilation factor, p or p/q")
     p.add_argument("--no-oracle", action="store_true", help="skip the exhaustive cross-check")
     _add_format_flags(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="exhaustive commutator minimum over one period")
-    p.add_argument("alpha", type=parse_rat)
-    p.add_argument("beta", type=parse_rat)
+    p.add_argument("alpha", type=_rat_arg)
+    p.add_argument("beta", type=_rat_arg)
     _add_format_flags(p)
     p.set_defaults(func=cmd_verify)
 
@@ -474,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep, fmt="plain")
 
     p = sub.add_parser("beatty", help="Beatty sequence windows and disjointness")
-    p.add_argument("u", type=parse_rat)
-    p.add_argument("v", type=parse_rat)
+    p.add_argument("u", type=_rat_arg)
+    p.add_argument("v", type=_rat_arg)
     p.add_argument("--window", type=int, nargs=2, default=(-10, 20), metavar=("LO", "HI"))
     _add_format_flags(p)
     p.set_defaults(func=cmd_beatty)
@@ -496,9 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="SVG map of the member set")
     p.add_argument(
         "--viewbox",
-        type=parse_rat,
+        type=_rat_arg,
         nargs=4,
-        default=(Fraction(-2), Fraction(2), Fraction(-2), Fraction(2)),
+        default=((-2, 1), (2, 1), (-2, 1), (2, 1)),
         metavar=("AMIN", "AMAX", "BMIN", "BMAX"),
     )
     p.add_argument("-M", "--curve-bound", type=int, default=argparse.SUPPRESS, help="max m, n of curve families")
@@ -522,8 +580,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     The text goes to the file ``--out`` names, unless it is ``-``, or to
     stdout, flushed so that a closed pipe fails here and not at interpreter
     exit; only then is a summary line printed to stderr.
+
+    The arguments are parsed under the interpreter's limit on the digits of
+    an int read from or written as text (``sys.get_int_max_str_digits()``),
+    which guards against quadratic ``int(str)`` on untrusted input;
+    ``verdict_from_dict`` keeps it too.  The printed numbers are products of
+    the input parts, such as the period ``b*d``, so the command runs and
+    writes with the limit lifted, and ``main`` restores it on return.
     """
     args = build_parser().parse_args(argv)
+    # int reads 0, no limit, on an interpreter that has none (CPython before 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         text, code, *summary = args.func(args)
         out = getattr(args, "out", None)  # only sweep, preorder and plot take --out
@@ -549,6 +618,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

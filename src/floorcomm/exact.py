@@ -2,9 +2,11 @@
 
 A rational of the public API is a ``fractions.Fraction`` (aliased ``Rat``) in
 lowest terms with a positive denominator, so equality is structural and no
-computation rounds; the decision path under it runs on integer parts, printed
-by ``_rat_text``.  The text format is ``p`` or ``p/q`` with q >= 1: decimals
-are refused, as they cannot represent the dilation factors exactly.
+computation rounds; the decision path under it runs on integer parts.  The
+text format is ``p`` or ``p/q`` with q >= 1, parsed and printed on integer
+parts by ``_rattext``: ``parse_rat`` builds its Fraction from the parts that
+``_rattext._rat_parts`` reads.  Decimals are refused, as they cannot
+represent the dilation factors exactly.
 
 The entry points that a benchmark workload calls once per op read a
 Fraction's parts with one ``as_integer_ratio()`` call and build a result
@@ -16,15 +18,14 @@ its callers.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd
+
+from ._rattext import _rat_parts
 
 Rat = Fraction
 
 _new = object.__new__
-
-_RAT_PATTERN = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def rat(num: int, den: int = 1) -> Rat:
@@ -93,12 +94,7 @@ def parse_rat(text: str) -> Rat:
     """Parse ``p`` or ``p/q`` (q >= 1) into a canonical Rat; a non-str raises TypeError."""
     if not isinstance(text, str):
         raise TypeError(f"expected a str, got {type(text).__name__}")
-    match = _RAT_PATTERN.fullmatch(text.strip())
-    if match is None:
-        raise ValueError(f"not a rational in p or p/q form: {text!r}")
-    num = int(match.group(1))
-    den = int(match.group(2)) if match.group(2) else 1
-    return Fraction(num, den)
+    return _fraction(*_rat_parts(text))
 
 
 def format_rat(x: Rat | int) -> str:
@@ -118,8 +114,3 @@ def _fraction(num: int, den: int) -> Rat:
     x._denominator = den // g
     return x
 
-
-def _rat_text(num: int, den: int) -> str:
-    """num/den, den > 0, as ``format_rat`` prints it: in lowest terms, ``p`` or ``p/q``, no Fraction built."""
-    g = gcd(num, den)
-    return str(num // g) if den == g else f"{num // g}/{den // g}"

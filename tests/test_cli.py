@@ -1,12 +1,14 @@
 """Command-line contract: exit codes, JSON round-trips, deterministic output."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
 import re
 import subprocess
+import sys
 from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import product
@@ -121,6 +123,18 @@ def test_verdict_json_round_trip(monkeypatch, capsys):
 
 BIG = 10**18
 
+# one parser for the tests that call a command directly: building it costs more than a run
+PARSER = cli.build_parser()
+
+
+def parsed(*argv: str) -> argparse.Namespace:
+    """The namespace that ``main`` passes to a command, its rationals read by the CLI's own parser."""
+    return PARSER.parse_args(argv)
+
+
+def classify_argv(alpha: Fraction, beta: Fraction, *flags: str) -> list[str]:
+    return ["classify", format_rat(alpha), format_rat(beta), *flags]
+
 
 @st.composite
 def large_pairs(draw):
@@ -163,7 +177,7 @@ def test_verdict_round_trip_at_large_parts(pair):
     alpha, beta, member = pair
     verdict = classify(DilationPair(alpha, beta))
     assert verdict.member is member
-    text, _ = cli.cmd_classify(argparse.Namespace(alpha=alpha, beta=beta, no_oracle=True, fmt="json"))
+    text, _ = cli.cmd_classify(parsed(*classify_argv(alpha, beta, "--no-oracle")))
     payload = json.loads(text)
     assert verdict_from_dict(payload) == verdict
     assert verdict_to_dict(verdict_from_dict(payload)) == payload
@@ -238,7 +252,7 @@ def test_verdict_from_dict_reads_a_non_member_without_a_search(monkeypatch):
     payloads = []
     for alpha, beta in product(sweep_values(3, 3), repeat=2):
         for no_oracle in (False, True):
-            text, code = cli.cmd_classify(argparse.Namespace(alpha=alpha, beta=beta, no_oracle=no_oracle, fmt="json"))
+            text, code = cli.cmd_classify(parsed(*classify_argv(alpha, beta, *(["--no-oracle"] if no_oracle else []))))
             if code == 1:
                 payloads.append(json.loads(text))
     assert len(payloads) > 100
@@ -253,6 +267,153 @@ def test_verdict_from_dict_reads_a_non_member_without_a_search(monkeypatch):
         verdict = verdict_from_dict(payload)
         assert not verdict.member and verdict.witness is None
         assert format_rat(verdict.counterexample) == payload["counterexample"]
+
+
+def encoded_payloads(monkeypatch) -> list:
+    """Every payload that ``cli._json`` encodes from here on, as the commands pass it."""
+    payloads = []
+    encode = cli._json
+    monkeypatch.setattr(cli, "_json", lambda payload: payloads.append(payload) or encode(payload))
+    return payloads
+
+
+def test_json_equals_json_dumps_on_every_command_payload(monkeypatch):
+    encode = cli._json
+    payloads = encoded_payloads(monkeypatch)
+    values = sweep_values(3, 3)
+    for alpha, beta in product(values, repeat=2):
+        cli.cmd_classify(parsed(*classify_argv(alpha, beta)))
+        cli.cmd_classify(parsed(*classify_argv(alpha, beta, "--no-oracle")))
+        cli.cmd_verify(parsed("verify", format_rat(alpha), format_rat(beta)))
+    # the pinned beatty cases; a window that holds no term of u; a pair without a criterion witness
+    for argv in (["5/2", "5/3"], ["5/2", "7/3"], ["1", "2", "--window", "0", "5"], ["7", "9", "--window", "1", "6"]):
+        cli.cmd_beatty(parsed("beatty", *argv))
+    assert len(payloads) == 3 * len(values) ** 2 + 4
+    assert any(payload.get("criterion", 0) is None for payload in payloads)
+    assert any(not payload["window"]["u"]["reduced"] for payload in payloads if "window" in payload)
+    for payload in payloads:
+        assert encode(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@given(large_pairs())
+@settings(max_examples=50)
+def test_json_equals_json_dumps_at_large_parts(pair):
+    alpha, beta, _ = pair
+    text, _ = cli.cmd_classify(parsed(*classify_argv(alpha, beta, "--no-oracle")))
+    payload = json.loads(text)
+    assert text == cli._json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [],
+        {"criterion": None, "window": {"lo": 0, "hi": -1, "u": {"reduced": []}, "v": {"reduced": [-3, 0, 10**40]}}},
+        [[], [[]], {"a": [True, False, None, -0, 7]}],
+        # strings that json.dumps escapes, which _json hands to it
+        {'say "hi"': "back\\slash", "tab\t": "caf\u00e9", "\x7f": "\U0001f600"},
+    ],
+)
+def test_json_equals_json_dumps_on_edge_payloads(payload):
+    assert cli._json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [{1: "a"}, {"x": 0.5}, {"x": {1, 2}}])
+def test_json_refuses_what_it_does_not_encode(payload):
+    with pytest.raises(TypeError):
+        cli._json(payload)
+
+
+# the stderr of each usage error, as argparse words it for an 80-column terminal
+USAGE_ERRORS = {
+    "classify 1/0 2": (
+        "usage: floorcomm classify [-h] [--no-oracle] [--json | --plain] alpha beta\n"
+        "floorcomm classify: error: argument alpha: invalid parse_rat value: '1/0'\n"
+    ),
+    "verify 2/3 x": (
+        "usage: floorcomm verify [-h] [--json | --plain] alpha beta\n"
+        "floorcomm verify: error: argument beta: invalid parse_rat value: 'x'\n"
+    ),
+    "beatty 5/2 1.5": (
+        "usage: floorcomm beatty [-h] [--window LO HI] [--json | --plain] u v\n"
+        "floorcomm beatty: error: argument v: invalid parse_rat value: '1.5'\n"
+    ),
+    "plot --viewbox a 1 -1 1": (
+        "usage: floorcomm plot [-h] [--viewbox AMIN AMAX BMIN BMAX] [-M CURVE_BOUND]\n"
+        "                      [-R SPORADIC_R_BOUND] [-D DEN_BOUND] [--samples SAMPLES]\n"
+        "                      [--width WIDTH] [--out OUT]\n"
+        "floorcomm plot: error: argument --viewbox: invalid parse_rat value: 'a'\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", USAGE_ERRORS)
+def test_usage_errors_keep_their_bytes(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main(command.split())
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == USAGE_ERRORS[command]
+
+
+@contextlib.contextmanager
+def int_digits_unlimited():
+    """Lift the interpreter's limit on the digits of an int read from or written as text, as ``main`` does."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# parts of 2 202 digits, whose product b*d, the period, has 4 403: past CPython's default limit of 4 300
+WIDE_B, WIDE_D = 10**2201 + 3, 10**2201 + 7
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_outputs_past_the_int_digit_limit_print(command, capsys):
+    limit = sys.get_int_max_str_digits()
+    assert main([command, f"-1/{WIDE_B}", f"1/{WIDE_D}"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    # the breakpoint count is a JSON number of 4 403 digits, which json.loads reads only without the limit
+    with int_digits_unlimited():
+        payload = json.loads(captured.out)
+        period = payload["period"] if command == "verify" else payload["oracle"]["period"]
+        assert period == str(WIDE_B * WIDE_D) and len(period) == 4403
+    if command == "classify":
+        verdict = verdict_from_dict(payload)
+        assert verdict.member and verdict.pair == DilationPair(Fraction(-1, WIDE_B), Fraction(1, WIDE_D))
+        assert verdict_to_dict(verdict) == {key: payload[key] for key in verdict_to_dict(verdict)}
+
+
+def test_a_counterexample_past_the_int_digit_limit_prints_and_reads_back_without_it(capsys):
+    # parts of 3 002 digits: a non-member whose counterexample has more than 4 300
+    b, d = 10**3001 + 1, 10**3001 + 3
+    assert main(["classify", f"3/{b}", f"1/{d}", "--no-oracle"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["counterexample"].partition("/")[0]) > 4300
+    # verdict_from_dict parses under the interpreter's limit, like the command line
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        verdict_from_dict(payload)
+    with int_digits_unlimited():
+        verdict = verdict_from_dict(payload)
+    assert not verdict.member and verdict.pair == DilationPair(Fraction(3, b), Fraction(1, d))
+
+
+def test_an_input_part_past_the_int_digit_limit_is_a_usage_error(capsys):
+    digits = sys.get_int_max_str_digits() + 1
+    with pytest.raises(SystemExit) as excinfo:
+        main(["classify", f"1/{'1' * digits}", "1"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument alpha: invalid parse_rat value: '1/{'1' * digits}'\n")
 
 
 @pytest.mark.parametrize("bounds", [(True, True), (2.5, 2), (2, 2.0), (3, False)])

@@ -119,51 +119,56 @@ import json
 print(json.dumps({"code": code, "modules": modules}))
 """
 
-# every command loads the CLI and the integer decision path that it imports
-CLI = {"floorcomm.cli", "floorcomm._decide", "floorcomm._kernels", "floorcomm._oracle"}
+# every command loads the CLI, the integer decision path and the rational text format that it imports
+CLI = {"floorcomm.cli", "floorcomm._decide", "floorcomm._kernels", "floorcomm._oracle", "floorcomm._rattext"}
 # the modules that only beatty and frobenius load
 OTHER_COMMANDS = {"floorcomm.geometry", "floorcomm.beatty", "floorcomm.semigroup", "csv"}
-# the record modules, which no command loads
+# the record modules and json, which no command loads: cli._json and the hand-laid writers encode every payload
 RECORDS = {"floorcomm.classify", "floorcomm.floorfn", "floorcomm.plot", "floorcomm.preorder"}
+NEVER = RECORDS | {"json"}
+# the Fraction layer, which only the commands that build a Fraction load: beatty, frobenius and plot
+FRACTIONS = {"floorcomm.exact", "fractions", "decimal"}
 
 
-def with_json(loaded: set[str], unused: set[str], dumps: bool) -> tuple[set[str], set[str]]:
-    """``json`` loads only where ``cli._json`` encodes the output: not for CSV, plain lines or SVG,
-    nor for the JSON of ``sweep``, ``frobenius`` and ``preorder``, which is laid out by hand."""
-    return (loaded | {"json"}, unused) if dumps else (loaded, unused | {"json"})
+def by_ints(*private: str, fractions: bool = False) -> tuple[set[str], set[str]]:
+    """A command on integer parts, with the private modules it adds to the CLI's: no record, so no dataclasses.
 
-
-def by_ints(*private: str, dumps: bool = True) -> tuple[set[str], set[str]]:
-    """A command on integer parts, with the private modules it adds to the CLI's: no record, so no dataclasses."""
+    ``classify``, ``verify``, ``sweep`` and ``preorder`` parse and print on
+    integer parts alone, so they load no ``fractions`` (nor ``decimal``);
+    ``plot`` builds its view box as Fractions.
+    """
     loaded = CLI | {f"floorcomm.{module}" for module in private}
-    return with_json(loaded, OTHER_COMMANDS | RECORDS | {"dataclasses"}, dumps)
+    unused = OTHER_COMMANDS | NEVER | {"dataclasses"}
+    return (loaded | {"fractions"}, unused) if fractions else (loaded, unused | FRACTIONS)
 
 
-def running(module: str, dumps: bool = True) -> tuple[set[str], set[str]]:
-    """A command that loads floorcomm.MODULE beside the CLI, and no record module."""
-    loaded = CLI | {f"floorcomm.{module}"}
-    return with_json(loaded, (OTHER_COMMANDS - loaded) | RECORDS, dumps)
+def running(module: str) -> tuple[set[str], set[str]]:
+    """A command that loads floorcomm.MODULE beside the CLI, and with it the Fraction layer, but no record module."""
+    loaded = CLI | {f"floorcomm.{module}", "floorcomm.exact", "fractions"}
+    return loaded, (OTHER_COMMANDS - loaded) | NEVER
 
 
 @pytest.mark.parametrize(
     "argv, code, loaded, unused",
     [
         (["classify", "1/3", "1/2"], 0, *by_ints()),
-        (["classify", "2/3", "1/2", "--plain"], 1, *by_ints(dumps=False)),
+        (["classify", "2/3", "1/2", "--plain"], 1, *by_ints()),
         (["classify", "-2", "-5/3", "--no-oracle"], 1, *by_ints()),
         (["verify", "2/3", "1/2"], 1, *by_ints()),
-        (["verify", "2/3", "1/2", "--plain"], 1, *by_ints(dumps=False)),
-        (["frobenius", "3", "5"], 0, *running("semigroup", dumps=False)),
-        (["sweep", "-P", "2", "-Q", "2"], 0, *by_ints(dumps=False)),
-        (["sweep", "-P", "2", "-Q", "2", "--json"], 0, *by_ints(dumps=False)),
+        (["verify", "2/3", "1/2", "--plain"], 1, *by_ints()),
+        (["frobenius", "3", "5"], 0, *running("semigroup")),
+        (["frobenius", "3", "5", "--plain"], 0, *running("semigroup")),
+        (["sweep", "-P", "2", "-Q", "2"], 0, *by_ints()),
+        (["sweep", "-P", "2", "-Q", "2", "--json"], 0, *by_ints()),
         (["beatty", "5/2", "5/3"], 0, *running("beatty")),
-        (["preorder", "-P", "2", "-Q", "2"], 0, *by_ints("_preorder", dumps=False)),
-        (["preorder", "-P", "2", "-Q", "2", "--csv"], 0, *by_ints("_preorder", dumps=False)),
-        (["plot"], 0, *by_ints("_plot", dumps=False)),
+        (["beatty", "5/2", "5/3", "--plain"], 0, *running("beatty")),
+        (["preorder", "-P", "2", "-Q", "2"], 0, *by_ints("_preorder")),
+        (["preorder", "-P", "2", "-Q", "2", "--csv"], 0, *by_ints("_preorder")),
+        (["plot"], 0, *by_ints("_plot", fractions=True)),
         (
             ["plot", "-M", "6", "-D", "6", "-R", "4", "--samples", "256", "--viewbox", "-3", "3", "-3", "3"],
             0,
-            *by_ints("_plot", dumps=False),
+            *by_ints("_plot", fractions=True),
         ),
     ],
     ids=[
@@ -173,9 +178,11 @@ def running(module: str, dumps: bool = True) -> tuple[set[str], set[str]]:
         "verify",
         "verify-plain",
         "frobenius",
+        "frobenius-plain",
         "sweep",
         "sweep-json",
         "beatty",
+        "beatty-plain",
         "preorder",
         "preorder-csv",
         "plot",
